@@ -6,103 +6,17 @@ two-parameter shape-independent description of phase shifts, S-matrix,
 bound states and resonances in any angular momentum channel.
 """
 
-from .boundary import (
-    Channel,
-    RobinCondition,
-    WellParameters,
-    channel_from_robin,
-    delta_shell_strength,
-    robin_from_channel,
-    square_well_depth,
-    x_strength,
-    x_strength_expansion,
-)
-from .cli import (
-    PRESETS,
-    ConfigError,
-    ScanConfig,
-    ScanRow,
-    main,
-    parse_config,
-    run_pole_report,
-    run_scan,
-)
-from .poles import (
-    PoleKind,
-    PoleRecord,
-    RootSolveError,
-    asymptotic_poles,
-    classify_pole,
-    find_poles,
-    pole_polynomial,
-    pole_residual,
-    polynomial_roots,
-    resonance_momentum,
-)
-from .scattering import (
-    PhaseShiftPoint,
-    continue_branch,
-    phase_shift_eff,
-    phase_shift_full,
-    phase_shift_scan,
-    phase_shift_zero,
-    ratio_ab_full,
-    s_matrix_eff,
-    s_matrix_from_delta,
-    unwrap_scan,
-)
-from .specfun import (
-    FgSeries,
-    RiccatiEval,
-    double_factorial,
-    fg_series,
-    riccati_bessel,
-    riccati_neumann,
-)
+from . import boundary, cli, poles, scattering, specfun
+from .boundary import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from .poles import *  # noqa: F401,F403
+from .scattering import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Channel",
-    "ConfigError",
-    "FgSeries",
-    "PRESETS",
-    "PhaseShiftPoint",
-    "PoleKind",
-    "PoleRecord",
-    "RiccatiEval",
-    "RobinCondition",
-    "RootSolveError",
-    "ScanConfig",
-    "ScanRow",
-    "WellParameters",
-    "asymptotic_poles",
-    "channel_from_robin",
-    "classify_pole",
-    "continue_branch",
-    "delta_shell_strength",
-    "double_factorial",
-    "fg_series",
-    "find_poles",
-    "main",
-    "parse_config",
-    "phase_shift_eff",
-    "phase_shift_full",
-    "phase_shift_scan",
-    "phase_shift_zero",
-    "pole_polynomial",
-    "pole_residual",
-    "polynomial_roots",
-    "ratio_ab_full",
-    "resonance_momentum",
-    "robin_from_channel",
-    "run_pole_report",
-    "run_scan",
-    "s_matrix_eff",
-    "s_matrix_from_delta",
-    "square_well_depth",
-    "unwrap_scan",
-    "x_strength",
-    "x_strength_expansion",
-    "__version__",
-]
+    name
+    for module in (boundary, cli, poles, scattering, specfun)
+    for name in module.__all__
+] + ["__version__"]

@@ -137,13 +137,40 @@ def agreement_band_reference():
 
 
 def pole_reference(l: int, lam: float, chi: float):
-    """Pole polynomial roots via numpy's companion-matrix solver."""
+    """Pole polynomial roots via numpy's companion-matrix solver.
+
+    The package's solver also starts from companion-matrix eigenvalues, so
+    this is a regression reference, not an independent one; see
+    ``pole_polish_mp`` for that.
+    """
     d2 = dfact(2 * l - 1) ** 2
     asc = [0j] * (max(2 * l + 1, 2) + 1)
     asc[0] += chi
     asc[2] += 1.0 / ((2 * l - 1) * lam ** (2 * l - 1))
     asc[2 * l + 1] += 1j / d2
     return sorted(np.roots(asc[::-1]), key=lambda z: (z.real, z.imag))
+
+
+def pole_polish_mp(l: int, lam: float, chi: float, k: complex, dps: int = 40):
+    """Newton-polish k on the exact P(k) = chi + a k**2 + b k**(2l+1).
+
+    a and b are built in mpmath from the exact double factorial and the
+    binary value of lam, so nothing here shares rounding or code with the
+    package.  P is divided by the size of its terms at k, which makes
+    findroot's residual tolerance relative.
+    """
+    import mpmath
+
+    m = 2 * l + 1
+    with mpmath.workdps(dps):
+        a = 1 / ((2 * l - 1) * mpmath.mpf(lam) ** (2 * l - 1))
+        b = mpmath.mpc(0, 1) / dfact(2 * l - 1) ** 2
+        z0 = mpmath.mpc(k)
+        scale = abs(chi) + abs(a) * abs(z0) ** 2 + abs(b) * abs(z0) ** m
+        return mpmath.findroot(
+            lambda z: (chi + a * z ** 2 + b * z ** m) / scale, z0, solver="newton",
+            df=lambda z: (2 * a * z + m * b * z ** (m - 1)) / scale,
+        )
 
 
 def crossing_reference(l: int, c: float, lam: float, kmin: float, kmax: float):

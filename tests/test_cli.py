@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ class TestMain:
         code = main(["poles", "--l", "1", "--lambda", "0.1", "--chi", "-25"])
         assert code == 0
         assert "resonance" in capsys.readouterr().out
+
+    def test_poles_command_large_l_is_finite(self, capsys):
+        code = main(["poles", "--l", "9", "--lambda", "0.1", "--chi", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("residual") == 19
+        assert re.search(r"[+-](nan|inf)", out) is None
+
+    def test_poles_outside_double_range_exit_three(self, capsys):
+        code = main(["poles", "--l", "90", "--lambda", "0.1", "--chi", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "Traceback" not in err
 
     def test_presets_command(self, capsys):
         code = main(["presets"])

@@ -87,6 +87,7 @@ class TestPolynomialRoots:
         assert polynomial_roots(coeffs) == polynomial_roots(coeffs)
 
     def test_matches_companion_matrix(self):
+        # regression check only: the solver itself starts from np.roots
         rng = np.random.default_rng(5)
         for _ in range(50):
             deg = int(rng.integers(2, 10))
@@ -141,8 +142,7 @@ class TestFindPoles:
         # residual stays below 1e-12 of the polynomial's magnitude at the root
         rng = np.random.default_rng(17)
         for _ in range(40):
-            ch = Channel(int(rng.integers(0, 5)), float(rng.uniform(0.05, 0.5)),
-                         float(rng.uniform(-50, 50)))
+            ch = _random_channel(rng)
             coeffs = pole_polynomial(ch)
             for rec in find_poles(ch):
                 scale = sum(abs(c) * abs(rec.k_pole) ** j for j, c in enumerate(coeffs))
@@ -160,8 +160,7 @@ class TestFindPoles:
         # coefficients (i*real, real, real) force the root set {k, -conj k}
         rng = np.random.default_rng(19)
         for _ in range(25):
-            ch = Channel(int(rng.integers(0, 5)), float(rng.uniform(0.05, 0.5)),
-                         float(rng.uniform(-50, 50)))
+            ch = _random_channel(rng)
             poles = [r.k_pole for r in find_poles(ch)]
             scale = max(1.0, max(abs(p) for p in poles))
             for p in poles:
@@ -170,9 +169,45 @@ class TestFindPoles:
     def test_vieta(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            ch = Channel(int(rng.integers(0, 5)), float(rng.uniform(0.05, 0.5)),
-                         float(rng.uniform(-50, 50)))
-            _assert_vieta(ch)
+            _assert_vieta(_random_channel(rng))
+
+    def test_roots_survive_mpmath_polish(self):
+        # independent of np.roots: each root is a fixed point of 40-digit
+        # Newton on the exact polynomial, and degree-many distinct roots
+        # are the whole root set
+        rng = np.random.default_rng(29)
+        for l in range(21):
+            lam = float(10 ** rng.uniform(-2, 0.5))
+            chi = float(rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 2))
+            polished = []
+            for rec in find_poles(Channel(l, lam, chi)):
+                z = reference.pole_polish_mp(l, lam, chi, rec.k_pole)
+                assert abs(complex(z) - rec.k_pole) <= 1e-10 * abs(z), (l, lam, chi)
+                polished.append(z)
+            for i, a in enumerate(polished):
+                for b in polished[:i]:
+                    assert abs(a - b) > 1e-12 * abs(a), (l, lam, chi)
+
+    def test_error_contract(self):
+        # every channel gets degree-many finite roots or RootSolveError,
+        # never NaN, OverflowError or ZeroDivisionError
+        solved = 0
+        for l in (0, 30, 51, 86, 90, 200):
+            for lam in (1e-3, 0.1, 10.0):
+                for chi in (0.0, -1.0, 100.0):
+                    try:
+                        poles = [r.k_pole for r in find_poles(Channel(l, lam, chi))]
+                    except RootSolveError:
+                        continue
+                    assert len(poles) == max(2 * l + 1, 2)
+                    assert all(cmath.isfinite(p) for p in poles)
+                    solved += 1
+        assert solved >= 24
+
+    def test_nonfinite_eigenvalues_raise(self, monkeypatch):
+        monkeypatch.setattr(np, "roots", lambda p: np.full(len(p) - 1, complex("nan")))
+        with pytest.raises(RootSolveError):
+            find_poles(Channel(1, 0.1, -25.0))
 
     def test_resonance_consistent_with_eff_crossing(self):
         # the eff formula crosses pi/2 within 2|Im k_pole| of Re k_pole
@@ -184,6 +219,13 @@ class TestFindPoles:
             crossing = math.sqrt(-chi * 0.1)  # chi + k^2/lam = 0
             assert abs(crossing - pole.real) <= 2 * abs(pole.imag)
             assert abs(phase_shift_eff(ch, crossing)) == pytest.approx(PI / 2, abs=1e-5)
+
+
+def _random_channel(rng):
+    # l up to 20 and lam log-uniform on [0.01, 1]: coefficients span
+    # hundreds of decades
+    return Channel(int(rng.integers(0, 21)), float(10 ** rng.uniform(-2, 0)),
+                   float(rng.uniform(-50, 50)))
 
 
 def _assert_vieta(ch):
