@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .specfun import fg_series
 
 __all__ = [
@@ -127,24 +129,26 @@ def x_strength(ch: Channel, k: float) -> float:
     )
 
 
-def x_strength_expansion(ch: Channel, k: float, order: int) -> float:
+def x_strength_expansion(ch: Channel, k, order: int):
     """Partial sums of the low-energy expansion of the strength.
 
     order 0:  chi
     order 1:  + k**2 / ((2l-1) lam**(2l-1))
     order 2:  + k**4 / ((2l-3)(2l-1) lam**(2l-3))
 
-    The order-1 term is the generalized effective-range term; for l >= 1 it
+    ``k`` is a float or a numpy array (element by element; at order 2
+    numpy's k**4 may differ from the scalar value in the last bit).  The
+    order-1 term is the generalized effective-range term; for l >= 1 it
     diverges as lam -> 0, which is what makes the strict zero-size limit of
     every non-spherical channel trivial.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"expansion order must be 0, 1 or 2, got {order!r}")
-    if k < 0.0:
-        raise ValueError(f"momentum must be non-negative, got {k!r}")
-    if not k * ch.lam < 1.0:
+    if np.any(np.less(k, 0.0)):
+        raise ValueError(f"momentum must be non-negative, got {float(np.min(k))!r}")
+    if not np.all(np.multiply(k, ch.lam) < 1.0):
         raise ValueError(
-            f"expansion is defined for k*lam < 1, got k*lam = {k * ch.lam!r}"
+            f"expansion is defined for k*lam < 1, got k*lam = {float(np.max(k) * ch.lam)!r}"
         )
     l = ch.l
     total = ch.chi

@@ -11,15 +11,19 @@ A channel is given either as (--l, --lambda, --chi) or as (--l, --lambda,
 --c) -- exactly one of chi/c.  Flags may be combined with a flat key=value
 config file (flags win) and with a named preset (explicit values win).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error or a value outside the
+double range (a library ValueError), 3 numeric failure of the pole solver.
 """
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .boundary import Channel, channel_from_robin, robin_from_channel, RobinCondition
 from .poles import PoleKind, RootSolveError, asymptotic_poles, find_poles, resonance_momentum
@@ -83,8 +87,7 @@ class ScanConfig:
             )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One CSV row; None marks a field outside its formula's validity."""
 
     k: float
@@ -278,35 +281,44 @@ def _plot_script(csv_path: str) -> str:
     )
 
 
+def _csv_lines(columns: Sequence[Sequence[float | None]]) -> Iterator[str]:
+    """CSV lines of equal-length columns, with None as an empty field.
+
+    The None values of each column form a suffix (a column not requested,
+    or a series column past its validity bound), so the rows fall into at
+    most a few blocks that each format with one ``%.12g`` row template.
+    """
+    n = len(columns[0])
+    cuts = sorted({n} | {col.index(None) for col in columns if col[-1] is None})
+    blocks = []
+    for start, stop in zip([0, *cuts], cuts):
+        if stop > start:
+            present = [col[start] is not None for col in columns]
+            template = ",".join("%.12g" if p else "" for p in present)
+            block = [col[start:stop] for col, p in zip(columns, present) if p]
+            blocks.append(map(template.__mod__, zip(*block)))
+    return itertools.chain.from_iterable(blocks)
+
+
 def run_scan(config: ScanConfig) -> list[ScanRow]:
     """Run the scan, write the CSV and its plot script, return the rows."""
     ch = config.channel
     n = config.n_points
     step = (config.kmax - config.kmin) / (n - 1)
-    ks = [config.kmin + j * step for j in range(n)]
-    points = phase_shift_scan(ch, ks, outputs=config.outputs)
-    rows = []
-    for pt in points:
-        if pt.delta_full is None:
-            s_re = s_im = None
-        else:
-            s = s_matrix_from_delta(pt.delta_full)
-            s_re, s_im = s.real, s.imag
-        rows.append(
-            ScanRow(pt.k, pt.delta_full, pt.delta_eff, pt.delta_zero, s_re, s_im)
-        )
+    points = phase_shift_scan(ch, config.kmin + np.arange(n) * step, outputs=config.outputs)
+    k, full, eff, zero, _ = zip(*points)
+    del points  # one object per row at a time: the rows below replace the points
+    if "full" in config.outputs:
+        s = s_matrix_from_delta(np.array(full))
+        s_re, s_im = s.real.tolist(), s.imag.tolist()
+    else:
+        s_re = s_im = [None] * n
+    columns = (k, full, eff, zero, s_re, s_im)
+    rows = list(map(ScanRow, *columns))
 
     out = Path(config.output_path)
-    lines = [_channel_comment(ch), "k,delta_full,delta_eff,delta_zero,s_re,s_im"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (row.k, row.delta_full, row.delta_eff, row.delta_zero,
-                          row.s_re, row.s_im)
-            )
-        )
-    out.write_text("\n".join(lines) + "\n")
+    header = [_channel_comment(ch), "k,delta_full,delta_eff,delta_zero,s_re,s_im"]
+    out.write_text("\n".join(itertools.chain(header, _csv_lines(columns))) + "\n")
     out.with_suffix(".gp").write_text(_plot_script(config.output_path))
     return rows
 
@@ -439,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"{name}: l={p['l']} lambda={p['lambda']} chi={p['chi']} "
                     f"(c={c:.6g}) k in [{p['kmin']}, {p['kmax']}], {p['n']} points"
                 )
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RootSolveError as exc:

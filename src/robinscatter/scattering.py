@@ -19,20 +19,31 @@ minimal-jump continuation, bisecting any interval whose jump is ambiguous so
 that resonances much narrower than the grid spacing are still tracked
 through their rise by pi.
 
+Scans work on numpy arrays from end to end: each grid point, anchor and
+refinement midpoint is evaluated once, in one array call per round, and the
+scalar functions are one-element calls of the same array code.  Wherever
+the matching pair, or a double factorial it needs, leaves the double range,
+a ``ValueError`` names l and the first such k; no NaN is returned.
+
 Poles and zeros of cot(delta) are handled projectively: the matching is kept
 as a (numerator, denominator) pair until the last moment, so resonance
 points (delta = pi/2) and non-interacting points (delta = 0) are exact
 rather than NaN.
 """
 
-import cmath
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .boundary import Channel, RobinCondition, robin_from_channel, x_strength_expansion
 from .poles import PoleKind, RootSolveError, find_poles
-from .specfun import double_factorial, riccati_bessel, riccati_neumann
+from .specfun import _libm, _libm_pow, double_factorial, riccati_pair
+
+# Not called here; bound because bench/spans.py wraps these names on this
+# module.
+from .specfun import riccati_bessel, riccati_neumann  # noqa: F401
 
 __all__ = [
     "PhaseShiftPoint",
@@ -52,8 +63,7 @@ __all__ = [
 SERIES_VALIDITY_KLAM = 0.9
 
 
-@dataclass(frozen=True)
-class PhaseShiftPoint:
+class PhaseShiftPoint(NamedTuple):
     """One momentum sample of a scan.
 
     ``delta_eff``/``delta_zero`` are None where k*lam exceeds the validity
@@ -69,13 +79,27 @@ class PhaseShiftPoint:
     ratio_ab: float
 
 
-def _check_momentum(k: float) -> None:
-    if not (k > 0.0) or math.isinf(k):
-        raise ValueError(f"momentum must be a positive finite real, got {k!r}")
+def _check_momentum(k) -> None:
+    ks = np.asarray(k, dtype=float)
+    bad = ~((ks > 0.0) & (ks < math.inf))
+    if bad.any():
+        raise ValueError(f"momentum must be a positive finite real, got {float(ks[bad].flat[0])!r}")
 
 
-def _matching_parts(rc: RobinCondition, k: float) -> tuple[float, float]:
-    """Numerator and denominator of a/b from the surface matching.
+def _checked(l: int, ks: np.ndarray, num: np.ndarray, den: np.ndarray):
+    """(num, den) unchanged, or ValueError naming l and the first k where
+    either is not finite."""
+    bad = ~(np.isfinite(num) & np.isfinite(den))
+    if bad.any():
+        raise ValueError(
+            f"phase shift for l={l} leaves the double range at k={float(ks[bad.argmax()])!r} "
+            "(a Riccati function or double factorial overflows)"
+        )
+    return num, den
+
+
+def _matching_parts(rc: RobinCondition, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of a/b from the surface matching, at every k.
 
     psi = a u_l(kr) + b v_l(kr) with psi'(lam) + c psi(lam) = 0 gives
 
@@ -83,14 +107,51 @@ def _matching_parts(rc: RobinCondition, k: float) -> tuple[float, float]:
 
     evaluated at x = k lam.  A Dirichlet surface reduces to a/b = -v/u.
     """
-    x = k * rc.lam
-    u = riccati_bessel(rc.l, x)
-    v = riccati_neumann(rc.l, x)
-    if rc.is_dirichlet:
-        return -v.value, u.value
-    num = -(k * v.derivative + rc.c * v.value)
-    den = k * u.derivative + rc.c * u.value
-    return num, den
+    u, du, v, dv = riccati_pair(rc.l, ks * rc.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rc.is_dirichlet:
+            num, den = -v, u
+        else:
+            num = -(ks * dv + rc.c * v)
+            den = ks * du + rc.c * u
+    return _checked(rc.l, ks, num, den)
+
+
+def _ratio_from_parts(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # a/b, with the projective infinity signed like num where den is zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where(den == 0.0, np.copysign(math.inf, num), ratio)
+
+
+def _delta_from_parts(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # cot(delta) = -num/den, reported in (-pi/2, pi/2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = _libm(math.atan, -den / num)
+    delta[num == 0.0] = 0.5 * math.pi
+    return delta
+
+
+def _squared_double_factorial(l: int) -> float:
+    # (2l-1)!!**2, NaN beyond the double range so that _checked names l and k
+    try:
+        return float(double_factorial(2 * l - 1)) ** 2
+    except OverflowError:
+        return math.nan
+
+
+def _eff_parts(ch: Channel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # -k**(2l+1)/(2l-1)!!**2 * cot(delta) = X as (num, den) = ((2l-1)!!**2 X, k**(2l+1))
+    with np.errstate(divide="ignore", over="ignore"):  # _checked reports these
+        strength = x_strength_expansion(ch, ks, 1)  # validates k*lam < 1
+    num = _squared_double_factorial(ch.l) * strength
+    return _checked(ch.l, ks, num, _libm_pow(ks, 2 * ch.l + 1))
+
+
+def _zero_parts(ch: Channel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the same with X = chi
+    num = np.full_like(ks, _squared_double_factorial(ch.l) * ch.chi)
+    return _checked(ch.l, ks, num, _libm_pow(ks, 2 * ch.l + 1))
 
 
 def ratio_ab_full(rc: RobinCondition, k: float) -> float:
@@ -100,23 +161,13 @@ def ratio_ab_full(rc: RobinCondition, k: float) -> float:
     projective infinity is returned with the sign of the numerator.
     """
     _check_momentum(k)
-    num, den = _matching_parts(rc, k)
-    if den == 0.0:
-        return math.copysign(math.inf, num)
-    return num / den
-
-
-def _delta_from_parts(num: float, den: float) -> float:
-    # cot(delta) = -num/den, reported in (-pi/2, pi/2]
-    if num == 0.0:
-        return 0.5 * math.pi
-    return math.atan(-den / num)
+    return float(_ratio_from_parts(*_matching_parts(rc, np.array([k])))[0])
 
 
 def phase_shift_full(rc: RobinCondition, k: float) -> float:
     """Exact phase shift from the surface matching, in (-pi/2, pi/2]."""
     _check_momentum(k)
-    return _delta_from_parts(*_matching_parts(rc, k))
+    return float(_delta_from_parts(*_matching_parts(rc, np.array([k])))[0])
 
 
 def phase_shift_eff(ch: Channel, k: float) -> float:
@@ -125,16 +176,13 @@ def phase_shift_eff(ch: Channel, k: float) -> float:
     Solves -k**(2l+1)/(2l-1)!!**2 * cot(delta) = chi + k**2/((2l-1) lam**(2l-1)).
     """
     _check_momentum(k)
-    strength = x_strength_expansion(ch, k, 1)  # validates k*lam < 1
-    d2 = float(double_factorial(2 * ch.l - 1)) ** 2
-    return _delta_from_parts(d2 * strength, k ** (2 * ch.l + 1))
+    return float(_delta_from_parts(*_eff_parts(ch, np.array([k])))[0])
 
 
 def phase_shift_zero(ch: Channel, k: float) -> float:
     """Coupling-only phase shift (no effective-range term), in (-pi/2, pi/2]."""
     _check_momentum(k)
-    d2 = float(double_factorial(2 * ch.l - 1)) ** 2
-    return _delta_from_parts(d2 * ch.chi, k ** (2 * ch.l + 1))
+    return float(_delta_from_parts(*_zero_parts(ch, np.array([k])))[0])
 
 
 def s_matrix_eff(ch: Channel, k: float) -> complex:
@@ -145,74 +193,121 @@ def s_matrix_eff(ch: Channel, k: float) -> complex:
     with X = chi + k**2/((2l-1) lam**(2l-1)).
     """
     _check_momentum(k)
-    strength = x_strength_expansion(ch, k, 1)
-    d2 = float(double_factorial(2 * ch.l - 1)) ** 2
-    kp = k ** (2 * ch.l + 1)
-    return -(kp + 1j * d2 * strength) / (kp - 1j * d2 * strength)
+    num, den = _eff_parts(ch, np.array([k]))
+    x, kp = float(num[0]), float(den[0])
+    return -(kp + 1j * x) / (kp - 1j * x)
 
 
-def s_matrix_from_delta(delta: float) -> complex:
-    """S = exp(2 i delta)."""
-    if not math.isfinite(delta):
-        raise ValueError(f"phase shift must be finite, got {delta!r}")
-    return cmath.exp(2j * delta)
+def s_matrix_from_delta(delta):
+    """S = exp(2 i delta), element by element for an array of phase shifts."""
+    d = np.asarray(delta, dtype=float)
+    bad = ~np.isfinite(d)
+    if bad.any():
+        raise ValueError(f"phase shift must be finite, got {float(d[bad].flat[0])!r}")
+    s = np.exp(2j * d)
+    return complex(s) if s.ndim == 0 else s
 
 
-def continue_branch(previous: float, pointwise: float) -> float:
-    """Shift ``pointwise`` by a multiple of pi to land nearest ``previous``."""
-    return pointwise + round((previous - pointwise) / math.pi) * math.pi
+def continue_branch(previous, pointwise):
+    """Shift ``pointwise`` by a multiple of pi to land nearest ``previous``
+    (element by element for arrays)."""
+    return pointwise + np.round((previous - pointwise) / math.pi) * math.pi
+
+
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], ks: np.ndarray) -> np.ndarray:
+    values = np.asarray(fn(ks), dtype=float)
+    if values.shape != ks.shape:
+        raise ValueError(
+            f"fn must map a k array to an array of its shape, got {values.shape} for {ks.shape}"
+        )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"phase function is not finite at k={float(ks[bad.argmax()])!r}")
+    return values
 
 
 def unwrap_scan(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     ks: Sequence[float],
     anchors: Iterable[float] = (),
     *,
     jump_tol: float = 0.5,
     max_depth: int = 46,
-) -> list[float]:
+) -> np.ndarray:
     """Evaluate a pointwise phase function on a grid and lift it continuously.
 
-    ``fn`` returns values in (-pi/2, pi/2]; the result follows one continuous
-    branch across the strictly increasing grid ``ks``.  Whenever the
-    minimal-jump increment between two samples exceeds ``jump_tol`` the
-    interval is bisected (to ``max_depth``) so the lift stays faithful even
-    through steep rises.  ``anchors`` are extra abscissae forced into the
-    refinement -- scan drivers pass resonance positions here so that rises
-    far narrower than the grid spacing cannot slip between samples.
+    ``fn`` maps a 1-D array of momenta to the array of its pointwise values
+    in (-pi/2, pi/2].  The result follows one continuous branch across the
+    strictly increasing grid ``ks`` and is returned as an array of the grid's
+    length.  ``anchors`` are extra abscissae forced into the refinement --
+    scan drivers pass resonance positions here so that rises far narrower
+    than the grid spacing cannot slip between samples; anchors on a grid
+    point or outside the grid are ignored.
+
+    Whenever the minimal-jump increment between two neighbouring samples
+    exceeds ``jump_tol`` their interval is bisected, so the lift stays
+    faithful even through steep rises.  An interval between neighbouring
+    grid points and anchors is split at most ``max_depth`` times in depth,
+    and no interval narrower than 1e-13 times max(1, k) is split.  The jump
+    test reads the pointwise values only, so refinement runs in
+    breadth-first rounds: ``fn`` is called once with the grid, once with the
+    anchors inside it (if any), then once per round with every midpoint that
+    round needs.  Each abscissa is evaluated once.  The lift is the
+    minimal-jump continuation over all samples in increasing k.
+
+    ``ValueError`` is raised for a grid that is not strictly increasing and
+    for a value of ``fn`` that is not finite.
     """
-    ks = list(ks)
-    for a, b in zip(ks, ks[1:]):
-        if not b > a:
-            raise ValueError("scan grid must be strictly increasing")
-    anchor_list = sorted(set(float(a) for a in anchors))
-    out: list[float] = []
-    prev_k = 0.0
-    prev_val = 0.0
-    for k in ks:
-        d = fn(k)
-        if not out:
-            val = d
-        else:
-            val = prev_val
-            lo = prev_k
-            for a in anchor_list:
-                if lo < a < k:
-                    val = _resolve_branch(fn, lo, val, a, fn(a), jump_tol, max_depth)
-                    lo = a
-            val = _resolve_branch(fn, lo, val, k, d, jump_tol, max_depth)
-        out.append(val)
-        prev_k, prev_val = k, val
-    return out
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or not np.all(ks[1:] > ks[:-1]):
+        raise ValueError("scan grid must be strictly increasing")
+    if not ks.size:
+        return np.empty(0)
+    sample_k = [ks]
+    sample_p = [_evaluate(fn, ks)]
+    inner = np.unique(np.fromiter(anchors, float))
+    inner = inner[(inner > ks[0]) & (inner < ks[-1])]
+    inner = inner[ks[np.searchsorted(ks, inner)] != inner]
+    node_k, node_p = ks, sample_p[0]
+    if inner.size:
+        sample_k.append(inner)
+        sample_p.append(_evaluate(fn, inner))
+        node_k, node_p, _ = _sorted_samples(sample_k, sample_p)
+
+    k0, k1, p0, p1 = node_k[:-1], node_k[1:], node_p[:-1], node_p[1:]
+    for _ in range(max_depth):
+        split = (np.abs(continue_branch(p0, p1) - p0) > jump_tol) & (
+            k1 - k0 > 1e-13 * np.maximum(1.0, np.abs(k1))
+        )
+        if not split.any():
+            break
+        k0, k1, p0, p1 = k0[split], k1[split], p0[split], p1[split]
+        km = k0 + 0.5 * (k1 - k0)
+        pm = _evaluate(fn, km)
+        sample_k.append(km)
+        sample_p.append(pm)
+        k0, k1 = np.concatenate([k0, km]), np.concatenate([km, k1])
+        p0, p1 = np.concatenate([p0, pm]), np.concatenate([pm, p1])
+
+    _, p, order = _sorted_samples(sample_k, sample_p)
+    lifted = np.empty_like(p)
+    lifted[order] = _lift(p)
+    return lifted[: ks.size]
 
 
-def _resolve_branch(fn, k0, d0, k1, d1, jump_tol, depth):
-    cand = continue_branch(d0, d1)
-    if abs(cand - d0) <= jump_tol or depth <= 0 or (k1 - k0) <= 1e-13 * max(1.0, abs(k1)):
-        return cand
-    km = k0 + 0.5 * (k1 - k0)
-    dm = _resolve_branch(fn, k0, d0, km, fn(km), jump_tol, depth - 1)
-    return _resolve_branch(fn, km, dm, k1, d1, jump_tol, depth - 1)
+def _sorted_samples(sample_k, sample_p):
+    # all samples in increasing k, and the permutation that sorts them
+    k, p = np.concatenate(sample_k), np.concatenate(sample_p)
+    order = np.argsort(k, kind="stable")
+    return k[order], p[order], order
+
+
+def _lift(p: np.ndarray) -> np.ndarray:
+    # continue_branch from each sample to the next, with the multiples of pi
+    # summed as integers: p[i] + n[i] pi, the first value unshifted
+    lifted = p.copy()
+    lifted[1:] += np.cumsum(np.round((p[:-1] - p[1:]) / math.pi)) * math.pi
+    return lifted
 
 
 def _resonance_anchors(ch: Channel, kmin: float, kmax: float) -> list[float]:
@@ -241,40 +336,39 @@ def phase_shift_scan(
 ) -> list[PhaseShiftPoint]:
     """Scan all requested phase shifts over a strictly increasing k-grid.
 
-    Each column is lifted onto its own continuous branch.  The series-based
-    columns are cut off (None) beyond k*lam = 0.9.
+    Each column is lifted onto its own continuous branch by
+    :func:`unwrap_scan`, seeded with the channel's resonance positions.
+    Each grid point is evaluated once: the matching pair (num, den) of the
+    grid gives both ``delta_full`` and ``ratio_ab``, and the series-based
+    columns are closed forms on the array.  They are cut off (None) beyond
+    k*lam = 0.9.  ``ValueError`` names l and the first k at which a value
+    leaves the double range.
     """
     wanted = set(outputs)
     unknown = wanted - {"full", "eff", "zero"}
     if unknown:
         raise ValueError(f"unknown outputs: {sorted(unknown)}")
-    ks = [float(k) for k in ks]
+    ks = np.asarray(ks, dtype=float)
+    _check_momentum(ks)
     rc = robin_from_channel(ch)
-    anchors = _resonance_anchors(ch, ks[0], ks[-1]) if ks else []
+    anchors = _resonance_anchors(ch, float(ks[0]), float(ks[-1])) if ks.size else []
+    valid = ks[: np.count_nonzero(ks * ch.lam < SERIES_VALIDITY_KLAM)]
 
-    n_valid = sum(1 for k in ks if k * ch.lam < SERIES_VALIDITY_KLAM)
+    grid_parts = []
 
-    full = unwrap_scan(lambda k: phase_shift_full(rc, k), ks, anchors) if "full" in wanted else None
-    eff = (
-        unwrap_scan(lambda k: phase_shift_eff(ch, k), ks[:n_valid], anchors)
-        if "eff" in wanted and n_valid
-        else []
-    )
-    zero = (
-        unwrap_scan(lambda k: phase_shift_zero(ch, k), ks[:n_valid], anchors)
-        if "zero" in wanted and n_valid
-        else []
-    )
+    def delta_full(k: np.ndarray) -> np.ndarray:
+        parts = _matching_parts(rc, k)
+        if not grid_parts:  # unwrap_scan evaluates the grid first
+            grid_parts.extend(parts)
+        return _delta_from_parts(*parts)
 
-    points = []
-    for i, k in enumerate(ks):
-        points.append(
-            PhaseShiftPoint(
-                k=k,
-                delta_full=full[i] if full is not None else None,
-                delta_eff=eff[i] if ("eff" in wanted and i < len(eff)) else None,
-                delta_zero=zero[i] if ("zero" in wanted and i < len(zero)) else None,
-                ratio_ab=ratio_ab_full(rc, k),
-            )
-        )
-    return points
+    def column(name, fn, grid):
+        # lifted values of a requested column, then None to the end of ks
+        values = unwrap_scan(fn, grid, anchors).tolist() if name in wanted else []
+        return itertools.chain(values, itertools.repeat(None, ks.size - len(values)))
+
+    full = column("full", delta_full, ks)
+    eff = column("eff", lambda k: _delta_from_parts(*_eff_parts(ch, k)), valid)
+    zero = column("zero", lambda k: _delta_from_parts(*_zero_parts(ch, k)), valid)
+    ratio = _ratio_from_parts(*(grid_parts or _matching_parts(rc, ks))).tolist()
+    return list(map(PhaseShiftPoint, ks.tolist(), full, eff, zero, ratio))

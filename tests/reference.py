@@ -2,7 +2,8 @@
 
 Everything in here is deliberately written without using the package under
 test: closed-form trigonometric Riccati functions for l = 0, 1, 2, a
-dense-grid branch tracker, and high-precision evaluations via mpmath.
+dense-grid branch tracker, the earlier depth-first branch lift (kept as a
+regression reference), and high-precision evaluations via mpmath.
 Frozen constants in the tests (reference pole positions, the agreement-band
 bounds EPS0_*) were produced by ``python tests/reference.py``; rerun it to
 regenerate them.
@@ -112,6 +113,46 @@ def lifted_on_grid(point_fn, kmin: float, kmax: float, n: int, nsub: int = 200):
     dense = np.linspace(kmin, kmax, (n - 1) * nsub + 1)
     lifted = unwrap_dense([point_fn(k) for k in dense])
     return dense[::nsub], np.asarray(lifted)[::nsub]
+
+
+# --- depth-first branch lift (regression reference) -------------------------
+
+def unwrap_depth_first(point_fn, ks, anchors=(), jump_tol=0.5, max_depth=46):
+    """The package's earlier scalar lift: depth-first bisection, point by point.
+
+    A regression reference for ``unwrap_scan``, not an independent oracle:
+    both must build the same refinement tree and return the same floats.
+    ``point_fn`` maps one k to its pointwise value.  Every grid interval is
+    cut at the anchors strictly inside it (anchors on a grid point or outside
+    the grid are skipped), and each piece starts at ``max_depth``.
+    """
+    anchor_list = sorted(set(float(a) for a in anchors))
+    out = []
+    prev_k = prev_val = 0.0
+    for k in ks:
+        d = point_fn(k)
+        if not out:
+            val = d
+        else:
+            val = prev_val
+            lo = prev_k
+            for a in anchor_list:
+                if lo < a < k:
+                    val = _resolve_branch(point_fn, lo, val, a, point_fn(a), jump_tol, max_depth)
+                    lo = a
+            val = _resolve_branch(point_fn, lo, val, k, d, jump_tol, max_depth)
+        out.append(val)
+        prev_k, prev_val = k, val
+    return out
+
+
+def _resolve_branch(point_fn, k0, d0, k1, d1, jump_tol, depth):
+    cand = d1 + round((d0 - d1) / PI) * PI
+    if abs(cand - d0) <= jump_tol or depth <= 0 or (k1 - k0) <= 1e-13 * max(1.0, abs(k1)):
+        return cand
+    km = k0 + 0.5 * (k1 - k0)
+    dm = _resolve_branch(point_fn, k0, d0, km, point_fn(km), jump_tol, depth - 1)
+    return _resolve_branch(point_fn, km, dm, k1, d1, jump_tol, depth - 1)
 
 
 # --- frozen-constant generator ----------------------------------------------

@@ -130,6 +130,21 @@ class TestXStrength:
         with pytest.raises(ValueError):
             x_strength_expansion(ch, 2.0, 1)
 
+    def test_expansion_on_arrays(self):
+        ch = Channel(2, 0.1, -3.0)
+        ks = np.linspace(0.0, 9.9, 34)
+        for order in (0, 1, 2):
+            got = np.broadcast_to(x_strength_expansion(ch, ks, order), ks.shape)
+            want = [x_strength_expansion(ch, float(k), order) for k in ks]
+            if order < 2:
+                assert got.tolist() == want
+            else:  # numpy's k**4 may differ from libm's in the last bit
+                assert got == pytest.approx(want, rel=1e-15)
+        with pytest.raises(ValueError, match="k\\*lam = 1.0"):
+            x_strength_expansion(ch, np.array([1.0, 10.0]), 1)
+        with pytest.raises(ValueError):
+            x_strength_expansion(ch, np.array([-0.1, 1.0]), 1)
+
     def test_quartic_residual_at_zero_coupling(self):
         # with chi = 0 the strength minus its order-1 expansion is O(k^4)
         for l in (1, 2):

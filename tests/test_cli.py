@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -20,6 +21,14 @@ from robinscatter import (
 from robinscatter import cli as cli_module
 
 PI = math.pi
+
+# SHA-256 of the default 300-point preset CSVs.  A mismatch is a change of
+# printed output: explain it, never re-pin it to hide it.
+PRESET_CSV_SHA256 = {
+    "fig1a": "723246b4264ebe3dbad77cb36e3c6e14fb5a521dd91e2cded89b201ab73fd6d5",
+    "fig1b": "2ff4da125e1dde208a0482509f8853462b360bf29274cdb8e5bd6837143c7517",
+    "fig1c": "74cc2f937ac41e551c5b3131912a500b3f2a869eed73690e5b63f537f4980cb9",
+}
 
 
 def read_csv(path):
@@ -151,6 +160,12 @@ class TestRunScan:
         # every row: unit-modulus S-matrix from the full phase shift
         for r in data:
             assert abs(math.hypot(r[4], r[5]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PRESET_CSV_SHA256))
+    def test_preset_csv_bytes_pinned(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        run_scan(parse_config(["--preset", name, "--out", str(out)]))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[name]
 
     def test_bit_stable(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -287,6 +302,22 @@ class TestMain:
         code = main(["scan", "--preset", "fig1a", "--n", "5",
                      "--out", str(tmp_path / "no" / "such" / "dir.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--l", "90", "--lambda", "0.5", "--chi", "1", "--kmax", "1.7", "--n", "50"],
+            ["--l", "200", "--lambda", "0.1", "--chi", "1", "--kmax", "2", "--n", "5"],
+        ],
+    )
+    def test_scan_outside_double_range_exit_two(self, args, tmp_path, capsys):
+        # v_l (l=90) or (2l+1)!! (l=200) overflows: a library ValueError
+        out = tmp_path / "scan.csv"
+        code = main(["scan", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"l={args[1]}" in err and "k=" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_numeric_failure_exit_three(self, monkeypatch, capsys):
         def boom(channel):

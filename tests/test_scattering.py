@@ -18,6 +18,7 @@ from robinscatter import (
     s_matrix_from_delta,
     unwrap_scan,
 )
+from robinscatter import scattering
 
 import reference
 
@@ -266,3 +267,117 @@ class TestScan:
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError):
             phase_shift_scan(Channel(0, 0.1, 1.0), [0.1, 0.2], outputs=("all",))
+
+
+def _preset_grid(n=300):
+    # the CLI's grid for the presets: kmin + j * step
+    return 0.01 + np.arange(n) * ((3.0 - 0.01) / (n - 1))
+
+
+def _lift_both(point_fn, ks, anchors=(), **kw):
+    """unwrap_scan and the depth-first reference on one scalar phase function;
+    asserts the same floats and the same evaluated abscissae, and returns
+    the abscissae."""
+    ref_ks, new_ks = [], []
+
+    def scalar(k):
+        ref_ks.append(k)
+        return point_fn(k)
+
+    def array(k):
+        new_ks.extend(k.tolist())
+        return np.array([point_fn(x) for x in k.tolist()])
+
+    ref = reference.unwrap_depth_first(scalar, np.asarray(ks).tolist(), anchors, **kw)
+    got = unwrap_scan(array, ks, anchors, **kw)
+    assert got.tobytes() == np.array(ref).tobytes()
+    assert sorted(new_ks) == sorted(ref_ks)
+    assert len(set(new_ks)) == len(new_ks)
+    return ref_ks
+
+
+class TestLiftReference:
+    """The breadth-first array lift against the earlier depth-first one."""
+
+    # The phase functions are the l = 1 closed forms of reference.py: cheap
+    # scalar calls, and the lift only needs some pointwise phase.
+
+    @pytest.mark.parametrize("chi", [-25.0, -0.1, 25.0])
+    def test_preset_grids_with_anchors(self, chi):
+        ch = Channel(1, 0.1, chi)
+        c = robin_from_channel(ch).c
+        ks = _preset_grid()
+        anchors = scattering._resonance_anchors(ch, ks[0], ks[-1])
+        for point_fn in (
+            lambda k: reference.delta_full_ref(1, c, 0.1, k),
+            lambda k: reference.delta_eff_ref(1, chi, 0.1, k),
+            lambda k: reference.delta_zero_ref(1, chi, 0.1, k),
+        ):
+            _lift_both(point_fn, ks, anchors)
+
+    def test_anchors_on_grid_points_or_outside_are_ignored(self):
+        c = robin_from_channel(Channel(1, 0.1, -0.1)).c
+        ks = _preset_grid()
+        anchors = [ks[0], ks[7], ks[150], ks[-1], -1.0, 0.001, 3.5, 0.1, 0.1, 0.1003]
+        evaluated = _lift_both(lambda k: reference.delta_full_ref(1, c, 0.1, k), ks, anchors)
+        assert {0.1, 0.1003} <= set(evaluated)
+        assert not {-1.0, 0.001, 3.5} & set(evaluated)
+
+    def test_forced_depth_limit(self):
+        c = robin_from_channel(Channel(1, 0.1, -0.1)).c
+        ks = _preset_grid()
+        evaluated = _lift_both(lambda k: reference.delta_full_ref(1, c, 0.1, k), ks, max_depth=2)
+        assert 300 < len(evaluated) <= 300 + 3 * 299
+
+    def test_step_reaches_interval_floor(self):
+        ks = _preset_grid(30)
+        step = lambda k: 0.0 if k < 1.2345 else 1.0  # noqa: E731
+        evaluated = sorted(_lift_both(step, ks))
+        i = int(np.searchsorted(evaluated, 1.2345))
+        width = evaluated[i] - evaluated[i - 1]
+        assert width <= 1e-13 * 1.2345 and len(evaluated) > 30 + 30
+
+
+class TestArrayScan:
+    def test_each_k_evaluated_once(self, monkeypatch):
+        ch = Channel(1, 0.1, -0.1)
+        rc = robin_from_channel(ch)
+        ks = _preset_grid()
+        seen = []
+        matching = scattering._matching_parts
+
+        def recording(rc_, k):
+            seen.extend(k.tolist())
+            return matching(rc_, k)
+
+        monkeypatch.setattr(scattering, "_matching_parts", recording)
+        phase_shift_scan(ch, ks)
+        monkeypatch.undo()
+        anchors = scattering._resonance_anchors(ch, ks[0], ks[-1])
+        evaluated = _lift_both(lambda k: reference.delta_full_ref(1, rc.c, 0.1, k), ks, anchors)
+        # grid points + anchors + refinement midpoints, each once
+        assert len(seen) == len(set(seen)) == len(evaluated)
+        assert set(seen) == set(evaluated)
+        assert len(anchors) == 13 and len(seen) == 300 + 13
+
+    def test_range_error_names_l_and_k(self):
+        ks = np.linspace(0.01, 1.7, 50)
+        with pytest.raises(ValueError, match=r"l=90 .* k=0\.01 "):
+            phase_shift_scan(Channel(90, 0.5, 1.0), ks)
+        with pytest.raises(ValueError, match="l=200"):
+            phase_shift_scan(Channel(200, 0.1, 1.0), ks, outputs=("eff",))
+
+    def test_unwrap_contract(self):
+        calls = []
+        assert unwrap_scan(calls.append, []).size == 0 and not calls
+        with pytest.raises(ValueError, match="shape"):
+            unwrap_scan(lambda k: 0.0, [0.1, 0.2])
+        with pytest.raises(ValueError, match="k=0.2"):
+            unwrap_scan(lambda k: np.where(k > 0.15, np.nan, 0.0), [0.1, 0.2])
+
+    def test_s_matrix_on_arrays(self):
+        deltas = np.array([0.0, PI / 4, -1.3, 2.0])
+        s = s_matrix_from_delta(deltas)
+        assert [complex(z) for z in s] == [s_matrix_from_delta(float(d)) for d in deltas]
+        with pytest.raises(ValueError):
+            s_matrix_from_delta(np.array([0.1, math.inf]))

@@ -11,6 +11,7 @@ from robinscatter import (
     fg_series,
     riccati_bessel,
     riccati_neumann,
+    riccati_pair,
 )
 
 from reference import u_closed, up_closed, v_closed, vp_closed
@@ -192,6 +193,44 @@ class TestPairProperties:
                 v = riccati_neumann(l, x).value
                 assert abs(u - math.sin(x - l * math.pi / 2)) <= bound
                 assert abs(v + math.cos(x - l * math.pi / 2)) <= bound
+
+
+class TestRiccatiPair:
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 30])
+    def test_array_equals_one_element_calls(self, l):
+        # both evaluation regions in one array; each element's series stops
+        # at its own term, so neighbours cannot change its bits
+        x = np.concatenate([np.geomspace(1e-3, l + 2.0, 40), np.linspace(l + 2.1, 60.0, 25)])
+        pair = np.array(riccati_pair(l, x))
+        one = np.array([riccati_pair(l, np.array([xi])) for xi in x])[:, :, 0].T
+        assert pair.tobytes() == one.tobytes()
+        u, v = riccati_bessel(l, float(x[3])), riccati_neumann(l, float(x[3]))
+        assert (u.value, u.derivative, v.value, v.derivative) == tuple(pair[:, 3])
+
+    def test_wronskian_on_arrays(self):
+        x = np.geomspace(0.01, 50.0, 200)
+        for l in range(11):
+            u, du, v, dv = riccati_pair(l, x)
+            assert np.max(np.abs(u * dv - du * v - 1.0)) < 1e-10
+
+    def test_out_of_range_is_nonfinite_and_the_wrappers_raise(self):
+        # v_90 overflows at small x; the series needs 401!!, beyond double range
+        _, _, v, dv = riccati_pair(90, np.array([0.005, 100.0]))
+        assert not np.isfinite(v[0]) and np.isfinite(v[1]) and np.isfinite(dv[1])
+        u, du, _, _ = riccati_pair(200, np.array([1.0]))
+        assert np.isnan(u[0]) and np.isnan(du[0])
+        with pytest.raises(ValueError, match="l=90"):
+            riccati_neumann(90, 0.005)
+        with pytest.raises(ValueError, match="l=200"):
+            riccati_bessel(200, 1.0)
+
+    def test_domain(self):
+        for bad in ([0.5, 0.0], [np.inf], [np.nan], [-1.0]):
+            with pytest.raises(ValueError):
+                riccati_pair(1, np.array(bad))
+        with pytest.raises(ValueError):
+            riccati_pair(-1, np.array([1.0]))
+        assert all(a.size == 0 for a in riccati_pair(3, np.array([])))
 
 
 class TestFgSeries:
