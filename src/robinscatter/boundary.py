@@ -97,15 +97,40 @@ class WellParameters(NamedTuple):
 
 
 def robin_from_channel(ch: Channel) -> RobinCondition:
-    """Surface parameter c = l/lam + chi * lam**(2l) of a channel."""
-    return RobinCondition(ch.l, ch.lam, ch.l / ch.lam + ch.chi * ch.lam ** (2 * ch.l))
+    """Surface parameter c = l/lam + chi * lam**(2l) of a channel.
+
+    ``ValueError`` names l and lam if ``lam**(2l)`` or ``c`` overflows.  An
+    underflowing ``lam**(2l)`` (l >= 1) leaves c = l/lam, its correctly
+    rounded value.
+    """
+    try:
+        c = ch.l / ch.lam + ch.chi * ch.lam ** (2 * ch.l)
+    except OverflowError:
+        c = math.inf
+    if math.isinf(c):
+        raise ValueError(
+            f"c = l/lam + chi*lam**(2l) is outside the double range for l={ch.l}, lam={ch.lam!r}"
+        )
+    return RobinCondition(ch.l, ch.lam, c)
 
 
 def channel_from_robin(rc: RobinCondition) -> Channel:
-    """Inverse map chi = (c - l/lam) / lam**(2l); undefined on a Dirichlet surface."""
+    """Inverse map chi = (c - l/lam) / lam**(2l); undefined on a Dirichlet surface.
+
+    ``ValueError`` names l and lam if ``lam**(2l)`` over- or underflows;
+    an overflowing chi is a ``ValueError`` of :class:`Channel`.
+    """
     if rc.is_dirichlet:
         raise ValueError("coupling is undefined for a Dirichlet surface (c = +/-inf)")
-    return Channel(rc.l, rc.lam, (rc.c - rc.l / rc.lam) / rc.lam ** (2 * rc.l))
+    try:
+        power = rc.lam ** (2 * rc.l)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(
+            f"lam**(2l) is outside the double range for l={rc.l}, lam={rc.lam!r}"
+        )
+    return Channel(rc.l, rc.lam, (rc.c - rc.l / rc.lam) / power)
 
 
 def x_strength(ch: Channel, k: float) -> float:

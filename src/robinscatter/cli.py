@@ -9,7 +9,9 @@ presets  list the built-in named scenarios
 
 A channel is given either as (--l, --lambda, --chi) or as (--l, --lambda,
 --c) -- exactly one of chi/c.  Flags may be combined with a flat key=value
-config file (flags win) and with a named preset (explicit values win).
+config file (flags win) and with a named preset (explicit values win; an
+explicit chi or c replaces the preset coupling).  Every command resolves
+these the same way, and poles ignores the grid keys of a config file.
 
 Exit codes: 0 success, 2 configuration error or a value outside the
 double range (a library ValueError), 3 numeric failure of the pole solver.
@@ -21,13 +23,13 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .boundary import Channel, channel_from_robin, robin_from_channel, RobinCondition
 from .poles import PoleKind, RootSolveError, asymptotic_poles, find_poles, resonance_momentum
-from .scattering import SERIES_VALIDITY_KLAM, phase_shift_scan, s_matrix_from_delta
+from .scattering import phase_shift_scan, s_matrix_from_delta
 
 __all__ = [
     "ConfigError",
@@ -99,9 +101,21 @@ class ScanRow(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# configuration parsing
+# configuration: one parser and one resolution path for every command
 
-_CONFIG_KEYS = ("l", "lambda", "chi", "c", "kmin", "kmax", "n", "out", "preset", "outputs")
+# config keys, which are also the flags, with their help text
+_KEY_HELP = {
+    "l": "angular momentum (int >= 0)",
+    "lambda": "cutoff radius (> 0)",
+    "chi": "rescaled coupling (exclusive with --c)",
+    "c": "surface parameter (exclusive with --chi; 'inf' = Dirichlet)",
+    "preset": f"named scenario: {', '.join(sorted(PRESETS))}",
+    "kmin": "lowest momentum",
+    "kmax": "highest momentum",
+    "n": "number of grid points",
+    "out": "output CSV path",
+    "outputs": "comma-separated subset of full,eff,zero",
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -120,7 +134,7 @@ def read_config_file(path: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_HELP:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -147,89 +161,77 @@ def _to_float(raw: object, name: str) -> float:
     return value
 
 
-def _resolve_channel(values: Mapping[str, object]) -> Channel:
-    has_chi = values.get("chi") is not None
-    has_c = values.get("c") is not None
-    if has_chi and has_c:
-        raise ConfigError("give exactly one of chi / c, not both")
-    if not (has_chi or has_c):
-        raise ConfigError("a channel needs one of chi / c (or a preset)")
-    if values.get("l") is None or values.get("lambda") is None:
-        raise ConfigError("a channel needs l and lambda")
-    l = _to_int(values["l"], "l")
-    lam = _to_float(values["lambda"], "lambda")
-    try:
-        if has_chi:
-            return Channel(l, lam, _to_float(values["chi"], "chi"))
-        return channel_from_robin(RobinCondition(l, lam, _to_float(values["c"], "c")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises ConfigError where argparse would exit."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
 
 
-def _merge_config(values: Mapping[str, object]) -> dict[str, object]:
-    """Overlay explicit values on top of their preset's defaults."""
-    merged: dict[str, object] = {k: None for k in _CONFIG_KEYS}
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of every command; flags stay strings until resolved."""
+    parser = _Parser(
+        prog="robinscatter",
+        description="Low-energy partial-wave scattering off a small sphere "
+                    "with a generalized surface condition.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, help_text, keys in [
+        ("scan", "phase-shift scan to CSV", _KEY_HELP),
+        ("poles", "pole report for one channel", ("l", "lambda", "chi", "c", "preset", "out")),
+    ]:
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("config", nargs="?",
+                         help="optional key=value config file; flags override it")
+        for key in keys:
+            cmd.add_argument(f"--{key}", help=_KEY_HELP[key])
+    sub.add_parser("presets", help="list the built-in scenarios")
+    return parser
+
+
+def _resolve(ns: argparse.Namespace) -> tuple[Channel, dict[str, object]]:
+    """The channel of a parsed command and all its values: preset < file < flags."""
+    values: dict[str, object] = dict(read_config_file(ns.config)) if ns.config else {}
+    values.update((k, v) for k, v in vars(ns).items() if k in _KEY_HELP and v is not None)
     preset = values.get("preset")
     if preset is not None:
-        preset = str(preset)
         if preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r} (have: {', '.join(sorted(PRESETS))})"
             )
-        merged.update(PRESETS[preset])
-        merged["preset"] = preset
-        merged["out"] = f"{preset}.csv"
-    explicit = {k: v for k, v in values.items() if v is not None and k != "preset"}
-    if preset is not None and ("chi" in explicit) != ("c" in explicit):
-        # an explicit chi or c replaces the preset coupling entirely
-        merged.pop("chi", None)
-        merged.pop("c", None)
-    merged.update(explicit)
-    return merged
+        for key, default in PRESETS[str(preset)].items():
+            if key != "chi" or "c" not in values:  # an explicit c replaces the preset chi
+                values.setdefault(key, default)
+
+    if "chi" in values and "c" in values:
+        raise ConfigError("give exactly one of chi / c, not both")
+    if "chi" not in values and "c" not in values:
+        raise ConfigError("a channel needs one of chi / c (or a preset)")
+    if "l" not in values or "lambda" not in values:
+        raise ConfigError("a channel needs l and lambda")
+    l = _to_int(values["l"], "l")
+    lam = _to_float(values["lambda"], "lambda")
+    try:
+        if "chi" in values:
+            return Channel(l, lam, _to_float(values["chi"], "chi")), values
+        rc = RobinCondition(l, lam, _to_float(values["c"], "c"))
+        return channel_from_robin(rc), values
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _config_from_values(values: Mapping[str, object]) -> ScanConfig:
-    merged = _merge_config(values)
-    channel = _resolve_channel(merged)
-    outputs_raw = merged.get("outputs")
-    if outputs_raw is None:
-        outputs = ALL_OUTPUTS
-    else:
-        outputs = tuple(s.strip() for s in str(outputs_raw).split(",") if s.strip())
-    # grid defaults mirror the presets
-    kmin = merged.get("kmin") if merged.get("kmin") is not None else 0.01
-    kmax = merged.get("kmax") if merged.get("kmax") is not None else 3.0
-    n = merged.get("n") if merged.get("n") is not None else 300
+def _scan_config(ns: argparse.Namespace) -> ScanConfig:
+    channel, values = _resolve(ns)
+    outputs = str(values.get("outputs", ",".join(ALL_OUTPUTS)))
+    # grid defaults mirror the presets; a preset names its default output
     return ScanConfig(
         channel=channel,
-        kmin=_to_float(kmin, "kmin"),
-        kmax=_to_float(kmax, "kmax"),
-        n_points=_to_int(n, "n"),
-        outputs=outputs,
-        output_path=str(merged.get("out") or "scan.csv"),
+        kmin=_to_float(values.get("kmin", 0.01), "kmin"),
+        kmax=_to_float(values.get("kmax", 3.0), "kmax"),
+        n_points=_to_int(values.get("n", 300), "n"),
+        outputs=tuple(s.strip() for s in outputs.split(",") if s.strip()),
+        output_path=str(values.get("out") or f"{values.get('preset', 'scan')}.csv"),
     )
-
-
-def _values_from_namespace(ns: argparse.Namespace) -> dict[str, object]:
-    values: dict[str, object] = {}
-    if getattr(ns, "config", None):
-        values.update(read_config_file(ns.config))
-    flag_map = {
-        "l": ns.l,
-        "lambda": ns.lam,
-        "chi": ns.chi,
-        "c": ns.c,
-        "kmin": getattr(ns, "kmin", None),
-        "kmax": getattr(ns, "kmax", None),
-        "n": getattr(ns, "n", None),
-        "out": getattr(ns, "out", None),
-        "preset": ns.preset,
-        "outputs": getattr(ns, "outputs", None),
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
-    return values
 
 
 def parse_config(args: Sequence[str]) -> ScanConfig:
@@ -237,23 +239,14 @@ def parse_config(args: Sequence[str]) -> ScanConfig:
 
     ``args`` is everything after the ``scan`` subcommand, e.g.
     ``["--l", "1", "--lambda", "0.1", "--chi", "-25"]`` or
-    ``["myscan.cfg", "--kmax", "2"]``.
+    ``["myscan.cfg", "--kmax", "2"]``.  Every error, malformed arguments
+    included, is a ConfigError.
     """
-    parser = argparse.ArgumentParser(prog="robinscatter scan", add_help=False)
-    _add_scan_arguments(parser)
-    try:
-        ns = parser.parse_args(list(args))
-    except SystemExit:
-        raise ConfigError(f"invalid scan arguments: {list(args)!r}") from None
-    return _config_from_values(_values_from_namespace(ns))
+    return _scan_config(_build_parser().parse_args(["scan", *args]))
 
 
 # ---------------------------------------------------------------------------
 # scan execution
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".12g")
-
 
 def _channel_comment(ch: Channel) -> str:
     c = robin_from_channel(ch).c
@@ -354,8 +347,7 @@ def run_pole_report(channel: Channel, output_path: str | None = None) -> str:
         )
     if channel.chi == 0.0:
         lines.append("  (zero coupling: double root at k = 0, zero-energy bound state)")
-
-    if channel.chi != 0.0:
+    else:
         lines.append("")
         lines.append("dropped-k^2-term closed form, side by side:")
         for z in asymptotic_poles(channel.l, channel.chi):
@@ -376,7 +368,7 @@ def run_pole_report(channel: Channel, output_path: str | None = None) -> str:
         csv_lines = [_channel_comment(channel), "re_k,im_k,kind,residual"]
         for rec in records:
             csv_lines.append(
-                f"{_fmt(rec.k_pole.real)},{_fmt(rec.k_pole.imag)},"
+                f"{rec.k_pole.real:.12g},{rec.k_pole.imag:.12g},"
                 f"{rec.kind.value},{format(rec.residual, '.3e')}"
             )
         Path(output_path).write_text("\n".join(csv_lines) + "\n")
@@ -384,68 +376,22 @@ def run_pole_report(channel: Channel, output_path: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and entry point
-
-def _add_channel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l", type=int, default=None, help="angular momentum (int >= 0)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="cutoff radius (> 0)")
-    parser.add_argument("--chi", type=float, default=None,
-                        help="rescaled coupling (exclusive with --c)")
-    parser.add_argument("--c", type=float, default=None,
-                        help="surface parameter (exclusive with --chi; 'inf' = Dirichlet)")
-    parser.add_argument("--preset", default=None,
-                        help=f"named scenario: {', '.join(sorted(PRESETS))}")
-
-
-def _add_scan_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("config", nargs="?", default=None,
-                        help="optional key=value config file; flags override it")
-    _add_channel_arguments(parser)
-    parser.add_argument("--kmin", type=float, default=None, help="lowest momentum")
-    parser.add_argument("--kmax", type=float, default=None, help="highest momentum")
-    parser.add_argument("--n", type=int, default=None, help="number of grid points")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--outputs", default=None,
-                        help="comma-separated subset of full,eff,zero")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="robinscatter",
-        description="Low-energy partial-wave scattering off a small sphere "
-                    "with a generalized surface condition.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    scan = sub.add_parser("scan", help="phase-shift scan to CSV")
-    _add_scan_arguments(scan)
-    poles = sub.add_parser("poles", help="pole report for one channel")
-    poles.add_argument("config", nargs="?", default=None,
-                       help="optional key=value config file; flags override it")
-    _add_channel_arguments(poles)
-    poles.add_argument("--out", default=None, help="optional CSV path for the pole table")
-    sub.add_parser("presets", help="list the built-in scenarios")
-    return parser
-
+# entry point
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.command == "scan":
-            config = _config_from_values(_values_from_namespace(ns))
+            config = _scan_config(ns)
             rows = run_scan(config)
             print(f"wrote {len(rows)} rows to {config.output_path} "
                   f"(plot script: {Path(config.output_path).with_suffix('.gp')})")
         elif ns.command == "poles":
-            values = _values_from_namespace(ns)
-            merged = _merge_config(values)
-            channel = _resolve_channel(merged)
-            sys.stdout.write(run_pole_report(channel, getattr(ns, "out", None)))
-        elif ns.command == "presets":
+            channel, values = _resolve(ns)
+            sys.stdout.write(run_pole_report(channel, values.get("out")))
+        else:
             for name in sorted(PRESETS):
-                p = PRESETS[name]
-                ch = Channel(int(p["l"]), float(p["lambda"]), float(p["chi"]))
+                ch, p = _resolve(argparse.Namespace(config=None, preset=name))
                 c = robin_from_channel(ch).c
                 print(
                     f"{name}: l={p['l']} lambda={p['lambda']} chi={p['chi']} "

@@ -60,6 +60,23 @@ class TestParameterMaps:
         with pytest.raises(ValueError):
             channel_from_robin(RobinCondition(1, 0.1, math.inf))
 
+    @pytest.mark.parametrize(
+        "convert, arg",
+        [
+            (robin_from_channel, Channel(200, 10.0, 1.0)),  # lam**(2l) overflows
+            (robin_from_channel, Channel(1, 2.0, 1e308)),  # chi*lam**(2l) overflows
+            (channel_from_robin, RobinCondition(200, 0.01, 1.0)),  # lam**(2l) underflows
+            (channel_from_robin, RobinCondition(200, 10.0, 1.0)),  # lam**(2l) overflows
+        ],
+    )
+    def test_out_of_range_is_value_error(self, convert, arg):
+        with pytest.raises(ValueError, match=f"l={arg.l}, lam={arg.lam!r}"):
+            convert(arg)
+
+    def test_underflowing_power_keeps_rounded_c(self):
+        # chi * lam**(2l) lies far below one ulp of l/lam
+        assert robin_from_channel(Channel(200, 0.01, 1.0)).c == 200 / 0.01
+
     def test_round_trip_random(self):
         # algebraically exact; in floats the map is ill-conditioned when the
         # coupling term chi*lam^(2l) sits far below l/lam, so the honest

@@ -337,3 +337,102 @@ class TestPresetDefinitions:
             ch = Channel(int(p["l"]), float(p["lambda"]), float(p["chi"]))
             assert robin_from_channel(ch).c == pytest.approx(c, abs=1e-12)
             assert p["kmin"] == 0.01 and p["kmax"] == 3.0 and p["n"] == 300
+
+
+class TestOnePath:
+    @pytest.mark.parametrize(
+        "args, cfg_text",
+        [
+            (["--l", "1", "--lambda", "0.1", "--chi", "-25"], None),
+            (["{cfg}"], "l = 1\nlambda = 0.1\nc = 10.25\nkmax = 2\n"),
+            (["--preset", "fig1b"], None),
+            (["--preset", "fig1a", "--c", "10.25"], None),
+        ],
+        ids=["flags", "config-file", "preset", "preset-c-override"],
+    )
+    def test_poles_and_scan_resolve_the_same_channel(
+        self, args, cfg_text, tmp_path, monkeypatch, capsys
+    ):
+        if cfg_text is not None:
+            cfg = tmp_path / "channel.cfg"
+            cfg.write_text(cfg_text)
+            args = [a.format(cfg=cfg) for a in args]
+        seen = []
+
+        def capture(channel, output_path=None):
+            seen.append(channel)
+            return ""
+
+        monkeypatch.setattr(cli_module, "run_pole_report", capture)
+        assert main(["poles", *args]) == 0
+        assert seen == [parse_config(args).channel]
+
+    def test_poles_takes_out_from_config_file(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"l = 1\nlambda = 0.1\nchi = -25\nout = {out}\n")
+        assert main(["poles", str(cfg)]) == 0
+        assert out.read_text().splitlines()[1] == "re_k,im_k,kind,residual"
+
+    def test_poles_preset_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # a preset's default output name (fig1b.csv) belongs to scan only
+        monkeypatch.chdir(tmp_path)
+        assert main(["poles", "--preset", "fig1b"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestErrorContract:
+    def test_unknown_flag_is_config_error_without_output(self, capsys):
+        with pytest.raises(ConfigError, match="--bogus"):
+            parse_config(["--bogus"])
+        assert capsys.readouterr() == ("", "")
+
+    def test_flag_and_file_values_fail_alike(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("l = 1.5\nlambda = 0.1\nchi = -25\n")
+        with pytest.raises(ConfigError) as from_file:
+            parse_config([str(cfg)])
+        with pytest.raises(ConfigError) as from_flag:
+            parse_config(["--l", "1.5", "--lambda", "0.1", "--chi", "-25"])
+        assert str(from_flag.value) == str(from_file.value) == "l must be an integer, got '1.5'"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--bogus"],
+            ["poles", "--preset", "fig1b", "--kmax", "2"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_malformed_arguments_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--l", "200", "--lambda", "10", "--chi", "1",
+             "--kmax", "0.05", "--n", "5", "--outputs", "full"],
+            ["scan", "--l", "200", "--lambda", "0.01", "--c", "1",
+             "--kmax", "0.05", "--n", "5", "--outputs", "full"],
+            ["poles", "--l", "200", "--lambda", "0.01", "--c", "1"],
+        ],
+    )
+    def test_channel_map_out_of_range_exit_two(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"l=200, lam={float(argv[4])!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_presets_stdout_pinned(self, capsys):
+        assert main(["presets"]) == 0
+        assert capsys.readouterr().out == (
+            "fig1a: l=1 lambda=0.1 chi=-25.0 (c=9.75) k in [0.01, 3.0], 300 points\n"
+            "fig1b: l=1 lambda=0.1 chi=-0.1 (c=9.999) k in [0.01, 3.0], 300 points\n"
+            "fig1c: l=1 lambda=0.1 chi=25.0 (c=10.25) k in [0.01, 3.0], 300 points\n"
+        )
