@@ -122,15 +122,19 @@ def channel_from_robin(rc: RobinCondition) -> Channel:
     """
     if rc.is_dirichlet:
         raise ValueError("coupling is undefined for a Dirichlet surface (c = +/-inf)")
+    power = _lam_power(rc.l, rc.lam, 2 * rc.l)
+    return Channel(rc.l, rc.lam, (rc.c - rc.l / rc.lam) / power)
+
+
+def _lam_power(l: int, lam: float, n: int) -> float:
+    """lam**n, or ValueError naming l and lam where it over- or underflows."""
     try:
-        power = rc.lam ** (2 * rc.l)
+        power = lam**n
     except OverflowError:
         power = math.inf
     if not 0.0 < power < math.inf:
-        raise ValueError(
-            f"lam**(2l) is outside the double range for l={rc.l}, lam={rc.lam!r}"
-        )
-    return Channel(rc.l, rc.lam, (rc.c - rc.l / rc.lam) / power)
+        raise ValueError(f"lam**{n} is outside the double range for l={l}, lam={lam!r}")
+    return power
 
 
 def x_strength(ch: Channel, k: float) -> float:
@@ -162,7 +166,9 @@ def x_strength_expansion(ch: Channel, k, order: int):
     order 2:  + k**4 / ((2l-3)(2l-1) lam**(2l-3))
 
     ``k`` is a float or a numpy array (element by element; at order 2
-    numpy's k**4 may differ from the scalar value in the last bit).  The
+    numpy's k**4 may differ from the scalar value in the last bit).
+    ``ValueError`` names l and lam if a power of lam the requested terms
+    need over- or underflows.  The
     order-1 term is the generalized effective-range term; for l >= 1 it
     diverges as lam -> 0, which is what makes the strict zero-size limit of
     every non-spherical channel trivial.
@@ -178,9 +184,9 @@ def x_strength_expansion(ch: Channel, k, order: int):
     l = ch.l
     total = ch.chi
     if order >= 1:
-        total += k * k / ((2 * l - 1) * ch.lam ** (2 * l - 1))
+        total += k * k / ((2 * l - 1) * _lam_power(l, ch.lam, 2 * l - 1))
     if order >= 2:
-        total += k ** 4 / ((2 * l - 3) * (2 * l - 1) * ch.lam ** (2 * l - 3))
+        total += k ** 4 / ((2 * l - 3) * (2 * l - 1) * _lam_power(l, ch.lam, 2 * l - 3))
     return total
 
 

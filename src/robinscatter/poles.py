@@ -1,4 +1,4 @@
-"""Analytic structure of the two-parameter S-matrix in complex momentum.
+"""Analytic structure of the two-parameter and the exact S-matrix in complex momentum.
 
 The S-matrix of the two-parameter low-energy formula has its poles at the
 roots of
@@ -23,6 +23,12 @@ near-real-axis root of that family lies at angle -pi/(4l+2) below the real
 axis for attractive odd-l channels (numeric root-finding of P is the ground
 truth here; the closed form is exact for the truncated polynomial and is
 reported side by side with it).
+
+The exact S-matrix of the Robin sphere has l+1 poles (:func:`exact_poles`):
+the outgoing Riccati-Hankel function is e**(ix) times a polynomial of
+degree l in 1/x, x = k lam, so the surface condition on it is a polynomial
+of degree l+1.  Every polynomial here is solved by the one
+:func:`polynomial_roots`.
 """
 
 import cmath
@@ -45,6 +51,7 @@ __all__ = [
     "pole_polynomial",
     "polynomial_roots",
     "find_poles",
+    "exact_poles",
     "asymptotic_poles",
     "resonance_momentum",
     "classify_pole",
@@ -52,6 +59,9 @@ __all__ = [
 
 # |Re k| below this fraction of |k| counts as "on the imaginary axis".
 AXIS_TOLERANCE = 1e-8
+
+# i**n for n mod 4, exact
+_I_POWERS = (1, 1j, -1, -1j)
 
 # Newton-polygon edges with root radii within this factor are solved together:
 # a magnitude-rank cut between them could return one of a pair {k, -conj k} twice.
@@ -156,11 +166,13 @@ def polynomial_roots(coeffs: Sequence[complex]) -> list[complex]:
 
     Vanishing low-order coefficients give exact zero roots.  The Newton
     polygon (``_root_groups``) splits the others into groups of similar
-    modulus; each group takes the companion-matrix eigenvalues (``np.roots``)
-    of the polynomial rescaled in log space to its radius, keeping those of
-    magnitude rank j0 .. j1-1.  Each root then gets two Newton steps on the
-    original polynomial, each only if shorter than a quarter of the distance
-    to the nearest other root.
+    modulus; the group from j0 to j1 takes the j1 - j0 companion-matrix
+    eigenvalues (``np.roots``) of its own window of coefficients c_j0 ..
+    c_j1, rescaled in log space to its radius, so the terms of the other
+    groups can neither overflow the companion matrix nor swamp the group.
+    Each root then gets two Newton steps on the original polynomial, each
+    only if shorter than a quarter of the distance to the nearest other
+    root; they restore what the window left out.
 
     Raises RootSolveError for degree < 1, a non-finite coefficient, or a
     root that is not finite or leaves |P| above 1e-9 of sum_j |c_j| |k|**j.
@@ -178,19 +190,16 @@ def polynomial_roots(coeffs: Sequence[complex]) -> list[complex]:
         unit = np.divide(c, np.abs(c), out=np.zeros_like(c), where=c != 0)
         roots = [np.empty(0, complex)]
         for j0, j1, log_radius in _root_groups(log_abs):
-            scaled = log_abs + np.arange(len(c)) * log_radius
+            window = slice(j0, j1 + 1)
+            scaled = log_abs[window] + np.arange(j0, j1 + 1) * log_radius
             scaled -= scaled.max()
-            # Terms this far below the largest cannot move the group's roots;
-            # dropping them keeps the companion matrix from overflowing.
-            scaled[scaled < math.log(1e-150)] = -np.inf
             try:
-                w = np.roots((unit * np.exp(scaled))[::-1])
+                w = np.roots((unit[window] * np.exp(scaled))[::-1])
             except np.linalg.LinAlgError as exc:
                 raise RootSolveError(f"eigenvalue solver failed: {exc}") from exc
-            w = w[np.argsort(abs(w))]
-            if len(w) < j1 or not np.all(np.isfinite(w[j0:j1])):
+            if len(w) != j1 - j0 or not np.all(np.isfinite(w)):
                 raise RootSolveError("eigenvalue solver returned non-finite roots")
-            roots.append(w[j0:j1] * math.exp(log_radius))
+            roots.append(w * math.exp(log_radius))
         z, desc = np.concatenate(roots), c[::-1]
         distance = abs(z[:, None] - z[None, :])
         np.fill_diagonal(distance, np.inf)
@@ -219,6 +228,86 @@ def find_poles(ch: Channel) -> list[PoleRecord]:
     ]
     records.sort(key=lambda r: (r.k_pole.real, r.k_pole.imag))
     return records
+
+
+def exact_poles(ch: Channel) -> list[PoleRecord]:
+    """The l+1 poles of the exact Robin-sphere S-matrix, classified, sorted
+    by position.
+
+    With x = k lam, the outgoing Riccati-Hankel function is
+    xi(x) = (-i)**(l+1) e**(ix) sum_m i**m B_m x**-m with
+    B_m = (l+m)!/(m! (l-m)! 2**m), and a pole is a root of
+    x xi'(x) + c lam xi(x) = 0, that is of
+
+        Q(x) = sum_n P_n x**(l+1-n),
+        P_n  = i**(n+1) (B_n - (l-n+1) B_(n-1) - s B_(n-1)),
+
+    n = 0 .. l+1, with s = chi lam**(2l+1) and B_(-1) = B_(l+1) = 0.  Each
+    P_n is computed exactly, in integers from 2**m B_m and the binary value
+    of s, so nothing cancels (the coupling-free part vanishes at n = l and
+    n = l+1).  With x = 2**e y, e = floor(log2(l+1)), and a common power of
+    two that centres the exponents, it is rounded once: B_l alone leaves
+    the double range from l = 151, the scaled coefficients not below
+    l ~ 1800.  Q is solved in 1/y when |s| > 1 and in y otherwise.  For
+    real c every pole off the imaginary axis lies in the lower half plane,
+    so such roots are given Im k <= 0 (sign bit set): the sign of the
+    imaginary part of a near-real double-precision root is rounding noise.
+    ``residual`` is |Q| at the root as solved, for Q in y (or in 1/y)
+    scaled as above.
+
+    For chi = 0 (and wherever s underflows) Q has a double root at k = 0.
+    Roots agree with 40-digit mpmath to 1e-10 relative up to l = 14; from
+    l = 15 the roots near the zeros of the Hankel function are limited by
+    the conditioning of Q's coefficients (5e-8 relative at l = 20), never
+    by the solver.  Raises RootSolveError when s or a scaled coefficient
+    leaves the double range, and as ``polynomial_roots`` does.
+    """
+    l = ch.l
+    try:
+        s = ch.chi * ch.lam ** (2 * l + 1)
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise RootSolveError(f"s = chi lambda**{2 * l + 1} of l={l}, lambda={ch.lam!r} "
+                             "is out of double range")
+    sn, sd = s.as_integer_ratio()
+    # 2**m B_m for m = -1 .. l+1
+    b2 = [0] + [math.comb(l + m, m) * math.perm(l, m) for m in range(l + 1)] + [0]
+    # 2**n sd P_n / i**(n+1), exactly
+    num = [(b2[n + 1] - 2 * (l - n + 1) * b2[n]) * sd - 2 * sn * b2[n] for n in range(l + 2)]
+    e = (l + 1).bit_length() - 1
+    bits = [m.bit_length() - n * (1 + e) for n, m in enumerate(num) if m]
+    shift = (max(bits) + min(bits)) // 2
+    try:
+        # P_n 2**(-n e) up to a common factor, each rounded once
+        real = [_times_power_of_two(m, -n * (1 + e) - shift) for n, m in enumerate(num)]
+    except OverflowError:
+        real = [math.inf]
+    if not all(map(math.isfinite, real)) or any(m and not r for m, r in zip(num, real)):
+        raise RootSolveError(
+            f"exact pole polynomial of l={l}, lambda={ch.lam!r} is out of double range"
+        )
+    coeffs = [_I_POWERS[(n + 1) % 4] * r for n, r in enumerate(real)]  # P_0 .. P_(l+1)
+    inverse = abs(s) > 1.0
+    ascending = coeffs if inverse else coeffs[::-1]  # in 1/y or in y
+    z = np.array(polynomial_roots(ascending))
+    with np.errstate(divide="ignore", over="ignore"):
+        k = (1.0 / z if inverse else z) * (2.0**e / ch.lam)
+    if not np.all(np.isfinite(k)):
+        raise RootSolveError(f"an exact pole of l={l}, lambda={ch.lam!r} is out of double range")
+    off_axis = abs(k.real) >= AXIS_TOLERANCE * abs(k)
+    k.imag[off_axis] = -abs(k.imag[off_axis])
+    residual = abs(_horner(ascending[::-1], z)[0])
+    records = [
+        PoleRecord(kj, classify_pole(kj), r) for kj, r in zip(k.tolist(), residual.tolist())
+    ]
+    records.sort(key=lambda r: (r.k_pole.real, r.k_pole.imag))
+    return records
+
+
+def _times_power_of_two(m: int, p: int) -> float:
+    """m * 2**p for an integer m, correctly rounded (OverflowError if too large)."""
+    return m / (1 << -p) if p < 0 else float(m << p)
 
 
 def asymptotic_poles(l: int, chi: float) -> list[complex]:

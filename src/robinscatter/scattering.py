@@ -14,14 +14,13 @@ Three phase shifts are computed for each channel:
   for comparison; it misplaces every l >= 1 resonance.
 
 Phase shifts are defined modulo pi.  Pointwise values are reported in
-(-pi/2, pi/2]; :func:`unwrap_scan` lifts a scan onto a continuous branch by
-minimal-jump continuation, bisecting any interval whose jump is ambiguous so
-that resonances much narrower than the grid spacing are still tracked
-through their rise by pi.
+(-pi/2, pi/2].  A scan takes each column's continuous branch from the
+values of its grid, with no pole and no sample inside a resonance: see
+:func:`phase_shift_scan`.  :func:`unwrap_scan` lifts any other phase
+function by minimal-jump continuation with adaptive bisection.
 
-Scans work on numpy arrays from end to end: each grid point, anchor and
-refinement midpoint is evaluated once, in one array call per round, and the
-scalar functions are one-element calls of the same array code.  Wherever
+Scans work on numpy arrays from end to end, each grid point evaluated once;
+the scalar functions are one-element calls of the same array code.  Wherever
 the matching pair, or a double factorial it needs, leaves the double range,
 a ``ValueError`` names l and the first such k; no NaN is returned.
 
@@ -38,11 +37,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .boundary import Channel, RobinCondition, robin_from_channel, x_strength_expansion
-from .poles import PoleKind, RootSolveError, find_poles
-from .specfun import _libm, _libm_pow, double_factorial, riccati_pair
+from .specfun import _libm, _libm_pow, _wave_phase, double_factorial, riccati_pair
 
-# Not called here; bound because bench/spans.py wraps these names on this
-# module.
+# Bound, not called: bench/spans.py wraps these names on this module.
+from .poles import find_poles  # noqa: F401
 from .specfun import riccati_bessel, riccati_neumann  # noqa: F401
 
 __all__ = [
@@ -98,8 +96,9 @@ def _checked(l: int, ks: np.ndarray, num: np.ndarray, den: np.ndarray):
     return num, den
 
 
-def _matching_parts(rc: RobinCondition, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of a/b from the surface matching, at every k.
+def _matching_parts(rc: RobinCondition, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Numerator and denominator of a/b from the surface matching, and u_l
+    and v_l, at every k.
 
     psi = a u_l(kr) + b v_l(kr) with psi'(lam) + c psi(lam) = 0 gives
 
@@ -114,7 +113,7 @@ def _matching_parts(rc: RobinCondition, ks: np.ndarray) -> tuple[np.ndarray, np.
         else:
             num = -(ks * dv + rc.c * v)
             den = ks * du + rc.c * u
-    return _checked(rc.l, ks, num, den)
+    return (*_checked(rc.l, ks, num, den), u, v)
 
 
 def _ratio_from_parts(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -142,7 +141,7 @@ def _squared_double_factorial(l: int) -> float:
 
 def _eff_parts(ch: Channel, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # -k**(2l+1)/(2l-1)!!**2 * cot(delta) = X as (num, den) = ((2l-1)!!**2 X, k**(2l+1))
-    with np.errstate(divide="ignore", over="ignore"):  # _checked reports these
+    with np.errstate(over="ignore"):  # _checked reports these
         strength = x_strength_expansion(ch, ks, 1)  # validates k*lam < 1
     num = _squared_double_factorial(ch.l) * strength
     return _checked(ch.l, ks, num, _libm_pow(ks, 2 * ch.l + 1))
@@ -161,13 +160,13 @@ def ratio_ab_full(rc: RobinCondition, k: float) -> float:
     projective infinity is returned with the sign of the numerator.
     """
     _check_momentum(k)
-    return float(_ratio_from_parts(*_matching_parts(rc, np.array([k])))[0])
+    return float(_ratio_from_parts(*_matching_parts(rc, np.array([k]))[:2])[0])
 
 
 def phase_shift_full(rc: RobinCondition, k: float) -> float:
     """Exact phase shift from the surface matching, in (-pi/2, pi/2]."""
     _check_momentum(k)
-    return float(_delta_from_parts(*_matching_parts(rc, np.array([k])))[0])
+    return float(_delta_from_parts(*_matching_parts(rc, np.array([k]))[:2])[0])
 
 
 def phase_shift_eff(ch: Channel, k: float) -> float:
@@ -239,10 +238,10 @@ def unwrap_scan(
     ``fn`` maps a 1-D array of momenta to the array of its pointwise values
     in (-pi/2, pi/2].  The result follows one continuous branch across the
     strictly increasing grid ``ks`` and is returned as an array of the grid's
-    length.  ``anchors`` are extra abscissae forced into the refinement --
-    scan drivers pass resonance positions here so that rises far narrower
-    than the grid spacing cannot slip between samples; anchors on a grid
-    point or outside the grid are ignored.
+    length.  ``anchors`` are extra abscissae forced into the refinement,
+    such as resonance positions, so that rises far narrower than the grid
+    spacing cannot slip between samples; anchors on a grid point or outside
+    the grid are ignored.
 
     Whenever the minimal-jump increment between two neighbouring samples
     exceeds ``jump_tol`` their interval is bisected, so the lift stays
@@ -310,23 +309,27 @@ def _lift(p: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _resonance_anchors(ch: Channel, kmin: float, kmax: float) -> list[float]:
-    """Real-axis sample points around every resonance pole of the channel."""
-    try:
-        records = find_poles(ch)
-    except RootSolveError:
-        return []
-    anchors: list[float] = []
-    for rec in records:
-        if rec.kind is not PoleKind.RESONANCE:
-            continue
-        center = rec.k_pole.real
-        width = max(abs(rec.k_pole.imag), 1e-9 * max(1.0, center))
-        for j in range(-6, 7):
-            a = center + 0.5 * j * width
-            if kmin < a < kmax:
-                anchors.append(a)
-    return anchors
+def _full_branch(rc: RobinCondition, ks, num, den, u, v) -> np.ndarray:
+    # delta = -arg D mod pi, D = num + i den = k w' + c w for the outgoing wave
+    # w = -v + i u; -arg D = -arg w - arg(D conj w), the last in (0, pi) since
+    # Im(D conj w) = k (Wronskian).  Each point moves by the nearest n pi.
+    p = _delta_from_parts(num, den)
+    r = np.hypot(u, v)
+    alpha = np.arctan2(ks / r, den * (u / r) - num * (v / r))
+    turns = (-_wave_phase(rc.l, ks * rc.lam, u, v) - alpha - p) / math.pi
+    n = np.round(turns)
+    miss = np.flatnonzero(~(np.abs(turns - n) <= 0.25))
+    if miss.size:
+        raise ValueError(f"the phase of the outgoing wave of l={rc.l} misses the matching phase "
+                         f"at k={float(ks[miss[0]])!r} by {float((turns - n)[miss[0]])!r} pi")
+    return p + (n - n[:1]) * math.pi
+
+
+def _arccot_branch(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # cot(delta) = -num/den with den > 0 is continuous, so delta in (0, pi)
+    # is: pi more where the pointwise value is negative (sign bit set)
+    p = _delta_from_parts(num, den)
+    return p + math.pi * (np.signbit(p) * 1.0 - np.signbit(p[:1]))
 
 
 def phase_shift_scan(
@@ -336,13 +339,15 @@ def phase_shift_scan(
 ) -> list[PhaseShiftPoint]:
     """Scan all requested phase shifts over a strictly increasing k-grid.
 
-    Each column is lifted onto its own continuous branch by
-    :func:`unwrap_scan`, seeded with the channel's resonance positions.
-    Each grid point is evaluated once: the matching pair (num, den) of the
-    grid gives both ``delta_full`` and ``ratio_ab``, and the series-based
-    columns are closed forms on the array.  They are cut off (None) beyond
-    k*lam = 0.9.  ``ValueError`` names l and the first k at which a value
-    leaves the double range.
+    The matching pair (num, den) of the grid, evaluated once, gives both
+    ``delta_full`` and ``ratio_ab``; the series-based columns are closed
+    forms on the array, cut off (None) beyond k*lam = 0.9.  Each column is
+    continuous, its first value in (-pi/2, pi/2]: ``delta_full`` is
+    -arg w - arg(k w'/w + c) + n pi for the outgoing wave w = -v_l + i u_l,
+    whose second term lies in (0, pi), so no resonance needs a sample
+    inside it; the series columns are the arccotangent of cot(delta), with
+    the positive denominator k**(2l+1).  ``ValueError`` names l and the
+    first k at which a value leaves the double range.
     """
     wanted = set(outputs)
     unknown = wanted - {"full", "eff", "zero"}
@@ -350,25 +355,19 @@ def phase_shift_scan(
         raise ValueError(f"unknown outputs: {sorted(unknown)}")
     ks = np.asarray(ks, dtype=float)
     _check_momentum(ks)
+    if ks.ndim != 1 or not np.all(ks[1:] > ks[:-1]):
+        raise ValueError("scan grid must be strictly increasing")
     rc = robin_from_channel(ch)
-    anchors = _resonance_anchors(ch, float(ks[0]), float(ks[-1])) if ks.size else []
+    num, den, u, v = _matching_parts(rc, ks)
     valid = ks[: np.count_nonzero(ks * ch.lam < SERIES_VALIDITY_KLAM)]
 
-    grid_parts = []
-
-    def delta_full(k: np.ndarray) -> np.ndarray:
-        parts = _matching_parts(rc, k)
-        if not grid_parts:  # unwrap_scan evaluates the grid first
-            grid_parts.extend(parts)
-        return _delta_from_parts(*parts)
-
-    def column(name, fn, grid):
-        # lifted values of a requested column, then None to the end of ks
-        values = unwrap_scan(fn, grid, anchors).tolist() if name in wanted else []
+    def column(name, grid, branch):
+        # values of a requested column on its grid, then None to the end of ks
+        values = branch().tolist() if name in wanted and grid.size else []
         return itertools.chain(values, itertools.repeat(None, ks.size - len(values)))
 
-    full = column("full", delta_full, ks)
-    eff = column("eff", lambda k: _delta_from_parts(*_eff_parts(ch, k)), valid)
-    zero = column("zero", lambda k: _delta_from_parts(*_zero_parts(ch, k)), valid)
-    ratio = _ratio_from_parts(*(grid_parts or _matching_parts(rc, ks))).tolist()
-    return list(map(PhaseShiftPoint, ks.tolist(), full, eff, zero, ratio))
+    full = column("full", ks, lambda: _full_branch(rc, ks, num, den, u, v))
+    eff = column("eff", valid, lambda: _arccot_branch(*_eff_parts(ch, valid)))
+    zero = column("zero", valid, lambda: _arccot_branch(*_zero_parts(ch, valid)))
+    return list(map(PhaseShiftPoint, ks.tolist(), full, eff, zero,
+                    _ratio_from_parts(num, den).tolist()))

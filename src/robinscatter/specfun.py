@@ -142,7 +142,12 @@ def riccati_pair(l: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     u_l comes from its power series where x <= l + 2 (upward recurrence in
     l is unstable for x < l) and from the upward recurrence from
     u_0 = sin x elsewhere; v_l always comes from the upward recurrence from
-    v_0 = -cos x, which follows the dominant solution and is stable.
+    v_0 = -cos x, which follows the dominant solution and is stable.  The
+    alternating series cancels as x nears l (1e-14 relative at
+    x**2 = 6 (2l+3), 1e-3 at l = 60, x = l), so between x**2 = 6 (2l+3) and
+    l + 2 u_l is taken from the Wronskian u v' - u' v = 1 instead, with
+    u_l'/u_l from the downward recurrence, where u_l is the minimal
+    solution.
 
     Every x must be positive and finite (``ValueError`` otherwise).  The
     values are not range-checked: where v_l leaves the double range, or the
@@ -164,11 +169,29 @@ def riccati_pair(l: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         u, du = np.empty_like(x), np.empty_like(x)
         rec = ~series
         u[rec], du[rec] = _upward(l, x[rec], cos[rec], sin[rec])
+        near = series & (x * x > 6 * (2 * l + 3))
+        if near.any():
+            u[near], du[near] = _wronskian_partner(l, x[near], v[near], dv[near])
+            series &= ~near
         xs = x[series]
         value = _bessel_series(l, xs)
         u[series] = value
         du[series] = _bessel_series(l - 1, xs) - l / xs * value
     return u, du, v, dv
+
+
+def _wronskian_partner(l: int, x: np.ndarray, v: np.ndarray, dv: np.ndarray):
+    # u_l and u_l' from u v' - u' v = 1 and F = u_l'/u_l = r_l - l/x, where
+    # r_j = u_(j-1)/u_j = (2j+1)/x - 1/r_(j+1) downward from r_N = (2N+1)/x;
+    # each element's own N = l + 16 + 4 sqrt(x) starts it far enough above x
+    # for 1e-14, and keeps its bits independent of its neighbours.
+    top = l + 16 + (4.0 * np.sqrt(x)).astype(int)
+    r = np.full_like(x, math.inf)
+    for j in range(int(top.max()), l - 1, -1):
+        r = np.where(j < top, (2 * j + 1) / x - 1.0 / r, (2 * j + 1) / x)
+    f = r - l / x
+    u = 1.0 / (dv - f * v)
+    return u, f * u
 
 
 def _checked_eval(name: str, l: int, x: float, value: float, derivative: float) -> RiccatiEval:
@@ -224,3 +247,25 @@ def fg_series(l: int, x: float) -> FgSeries:
     g_logderiv = x / tm1 + x3 / (tm1 * tm1 * tm3)
     g_over_f = 1.0 + tp1 * x2 / (tm1 * tp3) + (l + 3) * tp1 * x4 / (tm3 * tp3 * tp3 * tp5)
     return FgSeries(f, g, f_logderiv, g_logderiv, g_over_f)
+
+
+def _wave_phase(l: int, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # arg w of the outgoing wave w = -v_l + i u_l (e**(ix) at l = 0) on the
+    # increasing grid x, given u_l and v_l there: continuous, from its
+    # principal value at x[0].  Its slope g = 1/|w|**2 (Wronskian) is in
+    # (0, 1] and rises with x (|w| falls, by Nicholson's formula), so a step
+    # lies in [dx g_i, dx g_(i+1)] and is fixed by the principal difference
+    # while that window is at most pi wide.  Wider windows, on coarse steps
+    # across x ~ l, are halved first, with u and v alone at the added points.
+    theta, g = np.arctan2(u, -v), np.hypot(u, v) ** -2.0
+    keep = np.arange(x.size)  # positions of the grid among the points
+    while (wide := np.flatnonzero(np.diff(x) * np.diff(g) > math.pi)).size:
+        mid = 0.5 * (x[wide] + x[wide + 1])
+        um, _, vm, _ = riccati_pair(l, mid)
+        keep += np.searchsorted(wide, keep)
+        x, theta, g = (np.insert(a, wide + 1, b) for a, b in (
+            (x, mid), (theta, np.arctan2(um, -vm)), (g, np.hypot(um, vm) ** -2.0)))
+    raw = np.diff(theta)
+    middle = 0.5 * np.diff(x) * (g[:-1] + g[1:])
+    steps = raw + 2.0 * math.pi * np.round((middle - raw) / (2.0 * math.pi))
+    return (theta[0] + np.concatenate(([0.0], np.cumsum(steps))))[keep]

@@ -2,8 +2,9 @@
 
 Everything in here is deliberately written without using the package under
 test: closed-form trigonometric Riccati functions for l = 0, 1, 2, a
-dense-grid branch tracker, the earlier depth-first branch lift (kept as a
-regression reference), and high-precision evaluations via mpmath.
+dense-grid branch tracker, a sign-counting branch lift on scipy's spherical
+Bessel functions, the earlier depth-first branch lift and anchor rule (kept
+as regression references), and high-precision evaluations via mpmath.
 Frozen constants in the tests (reference pole positions, the agreement-band
 bounds EPS0_*) were produced by ``python tests/reference.py``; rerun it to
 regenerate them.
@@ -155,6 +156,74 @@ def _resolve_branch(point_fn, k0, d0, k1, d1, jump_tol, depth):
     return _resolve_branch(point_fn, km, dm, k1, d1, jump_tol, depth - 1)
 
 
+def resonance_anchors(l: int, lam: float, chi: float, kmin: float, kmax: float):
+    """Sample points around every resonance root of the two-parameter pole
+    polynomial: the rule scans once used to seed ``unwrap_scan``, kept so
+    that its anchor handling stays covered.  13 points at half-width steps
+    around each root with Re k > 0 and -Re k < Im k < 0, inside (kmin, kmax).
+    """
+    anchors = []
+    for root in pole_reference(l, lam, chi):
+        if not (root.real > 0.0 and -root.real < root.imag < 0.0):
+            continue
+        center = float(root.real)
+        width = max(abs(float(root.imag)), 1e-9 * max(1.0, center))
+        points = (center + 0.5 * j * width for j in range(-6, 7))
+        anchors += [a for a in points if kmin < a < kmax]
+    return anchors
+
+
+# --- branch by sign counting -------------------------------------------------
+
+def full_parts(l: int, lam: float, chi: float, ks):
+    """(num, den) of the surface matching, cot(delta) = -num/den, from
+    scipy's Bessel functions of half-integer order:
+    u_m = sqrt(pi x/2) J_(m+1/2)(x), v_m = sqrt(pi x/2) Y_(m+1/2)(x) and
+    w_l' = w_(l-1) - l/x w_l."""
+    from scipy.special import jv, yv
+
+    x = ks * lam
+    f = np.sqrt(0.5 * PI * x)
+    u, v = f * jv(l + 0.5, x), f * yv(l + 0.5, x)
+    du, dv = f * jv(l - 0.5, x) - l / x * u, f * yv(l - 0.5, x) - l / x * v
+    c = l / lam + chi * lam ** (2 * l)
+    return -(ks * dv + c * v), ks * du + c * u
+
+
+def eff_parts(l: int, lam: float, chi: float, ks):
+    """(num, den) of the two-parameter formula, cot(delta) = -num/den."""
+    strength = chi + ks * ks / ((2 * l - 1) * lam ** (2 * l - 1))
+    return dfact(2 * l - 1) ** 2 * strength, ks ** (2 * l + 1)
+
+
+def sign_count_lift(parts, ks):
+    """Continuous branch of the phase with cot(delta) = -num/den on the grid
+    ``ks``, first value in (-pi/2, pi/2]; ``parts`` maps a k array to
+    (num, den).
+
+    The pointwise phase jumps by -pi where the phase rises through pi/2,
+    and by +pi where it falls through it; both happen exactly where num
+    changes sign.  Each sign change between grid points is bisected to its
+    root and the direction read from the sign of den there, so resonances
+    far narrower than the grid are counted without knowing any pole.
+    """
+    ks = np.asarray(ks, dtype=float)
+    num, den = parts(ks)
+    with np.errstate(divide="ignore"):
+        p = np.where(num == 0.0, PI / 2, np.arctan(-den / num))
+    cut = np.flatnonzero(np.signbit(num[1:]) != np.signbit(num[:-1]))
+    lo, hi = ks[cut], ks[cut + 1]
+    lo_negative = np.signbit(num[cut])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        stay = np.signbit(parts(mid)[0]) == lo_negative
+        lo, hi = np.where(stay, mid, lo), np.where(stay, hi, mid)
+    rising = lo_negative == (parts(0.5 * (lo + hi))[1] > 0.0)
+    steps = np.zeros(ks.size)
+    steps[cut + 1] = np.where(rising, PI, -PI)
+    return p + np.cumsum(steps)
+
+
 # --- frozen-constant generator ----------------------------------------------
 
 PRESET_COUPLINGS = {"fig1a": -25.0, "fig1b": -0.1, "fig1c": 25.0}
@@ -212,6 +281,72 @@ def pole_polish_mp(l: int, lam: float, chi: float, k: complex, dps: int = 40):
             lambda z: (chi + a * z ** 2 + b * z ** m) / scale, z0, solver="newton",
             df=lambda z: (2 * a * z + m * b * z ** (m - 1)) / scale,
         )
+
+
+def exact_pole_polish_mp(l: int, lam: float, chi: float, k: complex, dps: int = 40):
+    """Newton-polish k on the surface condition of the outgoing wave.
+
+    With x = k lam and the Riccati-Hankel functions xi_m(x) = u_m + i v_m,
+    built by the upward recurrence xi_(m+1) = (2m+1)/x xi_m - xi_(m-1) from
+    xi_(-2) = (i - 1/x) e**(ix), xi_(-1) = e**(ix), a pole is a root of
+
+        f(x) = x xi_l'(x) + c lam xi_l(x) = x xi_(l-1)(x) + s xi_l(x),
+
+    s = c lam - l = chi lam**(2l+1), by xi_m' = xi_(m-1) - m/x xi_m (so no l
+    cancels against c lam).  Nothing here uses the reverse Bessel
+    polynomial of the package.  Returns the polished k; f is divided by the
+    size of its terms at the start, which makes findroot's residual
+    tolerance relative.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(chi) * mpmath.mpf(lam) ** (2 * l + 1)
+
+        def hankels(x):
+            # xi_(l-2), xi_(l-1), xi_l
+            e = mpmath.expj(x)
+            xi = [(1j - 1 / x) * e, e]
+            for m in range(-1, l):
+                xi.append((2 * m + 1) / x * xi[-1] - xi[-2])
+            return xi[-3:]
+
+        def f(x):
+            _, prev, cur = hankels(x)
+            return (x * prev + s * cur) / scale
+
+        def df(x):
+            before, prev, cur = hankels(x)
+            d_prev = before - (l - 1) / x * prev
+            d_cur = prev - l / x * cur
+            return (prev + x * d_prev + s * d_cur) / scale
+
+        x0 = mpmath.mpc(k) * lam
+        _, prev0, cur0 = hankels(x0)
+        scale = abs(x0 * prev0) + abs(s * cur0)
+        tol = mpmath.mpf(10) ** (10 - dps)  # above the rounding floor of f
+        return mpmath.findroot(f, x0, solver="newton", df=df, tol=tol) / lam
+
+
+def exact_root_condition(l: int, lam: float, chi: float, k: complex) -> float:
+    """Relative condition number of the pole k as a root of the degree-(l+1)
+    polynomial sum_n P_n x**(l+1-n), x = k lam, with
+    P_n = i**(n+1) (B_n - (l-n+1) B_(n-1) - s B_(n-1)): sum_n |P_n| |x|**(l+1-n)
+    over |x Q'(x)|.  Rounding the coefficients to double moves the root by
+    up to about eps times this, relative; it grows steeply with l for the
+    roots near the zeros of the Hankel function.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(chi) * mpmath.mpf(lam) ** (2 * l + 1)
+        b = [0] + [mpmath.mpf(math.factorial(l + m)) / (math.factorial(m) * math.factorial(l - m))
+                   / 2 ** m for m in range(l + 1)] + [0]
+        p = [1j ** (n + 1) * (b[n + 1] - (l - n + 1 + s) * b[n]) for n in range(l + 2)]
+        x = mpmath.mpc(k) * lam
+        size = sum(abs(c) * abs(x) ** (l + 1 - n) for n, c in enumerate(p))
+        slope = sum((l + 1 - n) * c * x ** (l - n) for n, c in enumerate(p[:-1]))
+        return float(size / abs(x * slope))
 
 
 def crossing_reference(l: int, c: float, lam: float, kmin: float, kmax: float):

@@ -147,6 +147,13 @@ class TestXStrength:
         with pytest.raises(ValueError):
             x_strength_expansion(ch, 2.0, 1)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("lam", [0.1, 10.0])  # lam**(2l-1) under- / overflows
+    def test_power_out_of_range_is_value_error(self, order, lam):
+        for k in (0.5 / lam, np.array([0.5 / lam])):
+            with pytest.raises(ValueError, match=f"l=200, lam={lam!r}"):
+                x_strength_expansion(Channel(200, lam, 1.0), k, order)
+
     def test_expansion_on_arrays(self):
         ch = Channel(2, 0.1, -3.0)
         ks = np.linspace(0.0, 9.9, 34)

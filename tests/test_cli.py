@@ -30,6 +30,14 @@ PRESET_CSV_SHA256 = {
     "fig1c": "74cc2f937ac41e551c5b3131912a500b3f2a869eed73690e5b63f537f4980cb9",
 }
 
+# SHA-256 of the 1e5-point preset CSVs (``--n 100000``): the scan's branch
+# and formatting on a grid that resolves the fig1b resonance.
+DENSE_CSV_SHA256 = {
+    "fig1a": "393ae6047a4b7b4c6335b19a72ea0e921b8f4b48ad666b2b2e4502a753b8b1a4",
+    "fig1b": "5895c87bd52225e6e23974667512c420683fdd54116b56c77746d400e2b7f3d6",
+    "fig1c": "b5652944f8cfdd4873fbb4d702a6bf0d6ca969b6d54e4f5e35a0a5435ad42317",
+}
+
 
 def read_csv(path):
     comments, header, rows = [], None, []
@@ -166,6 +174,12 @@ class TestRunScan:
         out = tmp_path / f"{name}.csv"
         run_scan(parse_config(["--preset", name, "--out", str(out)]))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PRESET_CSV_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(DENSE_CSV_SHA256))
+    def test_dense_preset_csv_bytes_pinned(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        run_scan(parse_config(["--preset", name, "--n", "100000", "--out", str(out)]))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DENSE_CSV_SHA256[name]
 
     def test_bit_stable(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

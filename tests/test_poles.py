@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -10,13 +11,17 @@ from robinscatter import (
     RootSolveError,
     asymptotic_poles,
     classify_pole,
+    exact_poles,
     find_poles,
     phase_shift_eff,
+    phase_shift_scan,
     pole_polynomial,
     pole_residual,
     polynomial_roots,
     resonance_momentum,
 )
+
+from robinscatter import scattering
 
 import reference
 
@@ -242,6 +247,84 @@ def _assert_vieta(ch):
     scale_prod = max(1.0, abs(expected_prod), abs(got_prod))
     assert abs(got_sum - expected_sum) <= 1e-8 * scale_sum
     assert abs(got_prod - expected_prod) <= 1e-8 * scale_prod
+
+
+class TestExactPoles:
+    """Poles of the exact matching, roots of a degree-(l+1) polynomial."""
+
+    def test_fig1a_resonance(self):
+        poles = [r.k_pole for r in exact_poles(Channel(1, 0.1, -25.0))]
+        assert len(poles) == 2
+        assert min(abs(p - (1.57619003 - 0.125j)) for p in poles) < 1e-8
+
+    def test_degree_and_lower_half_plane(self):
+        # l+1 roots; for a real surface parameter no pole lies off the
+        # imaginary axis in the upper half plane
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            l = int(rng.integers(0, 21))
+            ch = Channel(l, float(10 ** rng.uniform(-2, 0)),
+                         float(rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 2)))
+            records = exact_poles(ch)
+            assert len(records) == l + 1
+            for rec in records:
+                k = rec.k_pole
+                if abs(k.real) >= 1e-8 * abs(k):
+                    assert math.copysign(1.0, k.imag) < 0.0, (ch, k)
+                assert rec.kind is classify_pole(k)
+
+    def test_zero_coupling_double_root(self):
+        poles = sorted((r.k_pole for r in exact_poles(Channel(3, 0.5, 0.0))), key=abs)
+        assert poles[:2] == [0j, 0j] and all(abs(p) > 1.0 for p in poles[2:])
+
+    def test_roots_match_mpmath_on_the_surface_condition(self):
+        # 40-digit Newton on x xi_l' + c lam xi_l built from the Hankel
+        # recurrence (tests/reference.py), which shares no code with the
+        # package.  Up to l = 14 every root agrees to 1e-10 relative.  From
+        # l = 15 the roots near the zeros of the Hankel function are too
+        # ill-conditioned in the polynomial's coefficients for that (up to
+        # ~5e-8 at l = 20); they stay within a few eps times their
+        # condition number, so the solver itself loses nothing.
+        rng = np.random.default_rng(41)
+        for l in range(21):
+            lam = float(10 ** rng.uniform(-2, 0))
+            chi = float((-1) ** l * 10 ** rng.uniform(-2, 2))
+            for rec in exact_poles(Channel(l, lam, chi)):
+                z = complex(reference.exact_pole_polish_mp(l, lam, chi, rec.k_pole))
+                err = abs(z - rec.k_pole) / abs(z)
+                if l <= 14:
+                    assert err <= 1e-10, (l, lam, chi, rec.k_pole)
+                else:
+                    cond = reference.exact_root_condition(l, lam, chi, z)
+                    assert err <= max(1e-10, 4 * 2.2e-16 * cond), (l, lam, chi, rec.k_pole)
+
+    def test_solved_wherever_the_scan_is_in_range(self):
+        # l 0..80 over four decades of lam, chi of either sign and
+        # |s| = |chi| lam**(2l+1) on both sides of 1, and l = 140, 200, whose
+        # B_l is near or beyond the double range: wherever the matching
+        # stays in double range, the pole solve raises nothing and returns
+        # l+1 finite poles with finite residuals
+        solved = 0
+        for l, lam in itertools.chain(
+            itertools.product(range(81), (0.001, 0.03, 1.0, 30.0)), ((140, 1.0), (200, 1.0))
+        ):
+            ch = Channel(l, lam, (-1.0) ** l)
+            try:
+                phase_shift_scan(ch, np.linspace(0.01, 0.85, 8) / lam, outputs=("full",))
+            except ValueError:
+                continue
+            records = exact_poles(ch)
+            assert len(records) == l + 1
+            assert all(cmath.isfinite(r.k_pole) and math.isfinite(r.residual) for r in records)
+            solved += 1
+        assert solved >= 200
+
+    def test_out_of_range_raises(self):
+        # s = chi lam**(2l+1) overflows, or the scaled coefficients span
+        # more than the double range (l = 2000)
+        for ch in (Channel(200, 10.0, 1.0), Channel(1, 1e5, 1e300), Channel(2000, 1.0, 1.0)):
+            with pytest.raises(RootSolveError, match="out of double range"):
+                exact_poles(ch)
 
 
 class TestAsymptoticPoles:

@@ -18,7 +18,7 @@ from robinscatter import (
     s_matrix_from_delta,
     unwrap_scan,
 )
-from robinscatter import scattering
+from robinscatter import scattering, specfun
 
 import reference
 
@@ -245,6 +245,91 @@ class TestBranchTracking:
         assert np.median(np.abs(got - ref)) < 1e-12
 
 
+class TestClosedFormBranch:
+    def test_seeded_channels_match_sign_count(self):
+        # Attractive and repulsive channels over the swept domain: l 0..12,
+        # lam log-uniform on [0.01, 1], |chi| log-uniform on [0.01, 100],
+        # 300 points up to k lam = 0.85.  Each column must sit on the branch
+        # that sign counting of its numerator gives (tests/reference.py);
+        # a wrong branch is off by pi.  Pointwise values agree to ~1e-9 at
+        # worst, on points next to narrow resonances.
+        rng = np.random.default_rng(31)
+        for i in range(208):
+            l = i % 13
+            lam = float(10 ** rng.uniform(-2, 0))
+            chi = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2))
+            kmax = 0.85 / lam
+            ks = np.linspace(kmax / 300, kmax, 300)
+            pts = phase_shift_scan(Channel(l, lam, chi), ks, outputs=("full", "eff"))
+            for col, parts in (("delta_full", reference.full_parts),
+                               ("delta_eff", reference.eff_parts)):
+                want = reference.sign_count_lift(lambda k: parts(l, lam, chi, k), ks)
+                got = np.array([getattr(p, col) for p in pts])
+                assert np.max(np.abs(got - want)) < 1e-6, (col, l, lam, chi)
+
+    def test_series_branch_through_underflowing_denominator(self):
+        # k**(2l+1) underflows to 0 at the smallest k, where the pointwise
+        # value is -0.0: on the same branch as the negative values after it
+        ks = np.geomspace(1e-15, 1.0, 60)
+        pts = phase_shift_scan(Channel(12, 0.5, 1.0), ks, outputs=("eff",))
+        eff = np.array([p.delta_eff for p in pts])
+        assert np.all(eff <= 0.0) and np.max(np.abs(np.diff(eff))) < 0.1
+
+    def test_empty_grid_and_empty_series_columns(self):
+        assert phase_shift_scan(Channel(1, 0.1, -25.0), []) == []
+        pts = phase_shift_scan(Channel(1, 0.5, -25.0), [1.9, 2.0])  # k lam > 0.9
+        assert [p.delta_eff for p in pts] == [None, None]
+        assert all(p.delta_full is not None for p in pts)
+
+    @pytest.mark.parametrize("l, kmin, kmax", [(140, 10.0, 50.0), (140, 1.0, 140.0),
+                                               (200, 203.0, 400.0), (300, 303.0, 600.0)])
+    def test_high_l_matches_sign_count(self, l, kmin, kmax):
+        # far beyond where the exact poles are well conditioned (l = 49) or
+        # even representable (B_l overflows from l = 151): the branch needs
+        # no pole, below, across and above the turning point k lam ~ l,
+        # where u_l comes from the Wronskian
+        ks = np.linspace(kmin, kmax, 100)
+        pts = phase_shift_scan(Channel(l, 1.0, 1.0), ks, outputs=("full",))
+        want = reference.sign_count_lift(lambda k: reference.full_parts(l, 1.0, 1.0, k), ks)
+        assert np.max(np.abs(np.array([p.delta_full for p in pts]) - want)) < 1e-6
+
+    def test_coarse_step_across_turning_point(self, monkeypatch):
+        # a step of k lam this coarse across k lam ~ l cannot pin the phase
+        # of the outgoing wave from its ends; points are added for u, v only
+        ch = Channel(3, 1.0, 1.0)
+        calls = []
+        pair = specfun.riccati_pair
+
+        def recording(l, x):
+            calls.append(len(x))
+            return pair(l, x)
+
+        for module in (scattering, specfun):
+            monkeypatch.setattr(module, "riccati_pair", recording)
+        coarse = phase_shift_scan(ch, [1.0, 100.0], outputs=("full",))
+        assert calls[0] == 2 and len(calls) > 1
+        monkeypatch.undo()
+        ks = np.linspace(1.0, 100.0, 4000)
+        want = reference.sign_count_lift(lambda k: reference.full_parts(3, 1.0, 1.0, k), ks)
+        assert [p.delta_full for p in coarse] == pytest.approx([want[0], want[-1]], abs=1e-9)
+
+    def test_inconsistent_wave_phase_raises(self, monkeypatch):
+        # a branch that disagrees with the matching is reported, never
+        # returned as a silently wrong value
+        wrong = lambda l, x, u, v: np.full_like(x, 0.5 * math.pi)  # noqa: E731
+        monkeypatch.setattr(scattering, "_wave_phase", wrong)
+        ch = Channel(1, 0.1, -25.0)
+        with pytest.raises(ValueError, match="misses the matching phase"):
+            phase_shift_scan(ch, _preset_grid(), outputs=("full",))
+        assert phase_shift_scan(ch, _preset_grid(), outputs=("eff",))
+
+    def test_series_columns_on_an_empty_valid_grid(self):
+        # every k lam >= 0.9: no series value is computed, so a lam power
+        # out of range (lam**239) cannot raise
+        pts = phase_shift_scan(Channel(120, 0.002, 1.0), [475.0, 480.0], outputs=("eff", "zero"))
+        assert [(p.delta_eff, p.delta_zero) for p in pts] == [(None, None)] * 2
+
+
 class TestScan:
     def test_point_fields(self):
         ch = Channel(1, 0.1, -25.0)
@@ -304,10 +389,10 @@ class TestLiftReference:
 
     @pytest.mark.parametrize("chi", [-25.0, -0.1, 25.0])
     def test_preset_grids_with_anchors(self, chi):
-        ch = Channel(1, 0.1, chi)
-        c = robin_from_channel(ch).c
+        c = robin_from_channel(Channel(1, 0.1, chi)).c
         ks = _preset_grid()
-        anchors = scattering._resonance_anchors(ch, ks[0], ks[-1])
+        anchors = reference.resonance_anchors(1, 0.1, chi, ks[0], ks[-1])
+        assert len(anchors) == (0 if chi > 0 else 13)
         for point_fn in (
             lambda k: reference.delta_full_ref(1, c, 0.1, k),
             lambda k: reference.delta_eff_ref(1, chi, 0.1, k),
@@ -340,25 +425,21 @@ class TestLiftReference:
 
 class TestArrayScan:
     def test_each_k_evaluated_once(self, monkeypatch):
+        # the narrow fig1b resonance needs no extra sample: the branch
+        # comes from the grid's own values, so the matching sees the grid
+        # and only it
         ch = Channel(1, 0.1, -0.1)
-        rc = robin_from_channel(ch)
         ks = _preset_grid()
         seen = []
         matching = scattering._matching_parts
 
         def recording(rc_, k):
-            seen.extend(k.tolist())
+            seen.append(k.tolist())
             return matching(rc_, k)
 
         monkeypatch.setattr(scattering, "_matching_parts", recording)
         phase_shift_scan(ch, ks)
-        monkeypatch.undo()
-        anchors = scattering._resonance_anchors(ch, ks[0], ks[-1])
-        evaluated = _lift_both(lambda k: reference.delta_full_ref(1, rc.c, 0.1, k), ks, anchors)
-        # grid points + anchors + refinement midpoints, each once
-        assert len(seen) == len(set(seen)) == len(evaluated)
-        assert set(seen) == set(evaluated)
-        assert len(anchors) == 13 and len(seen) == 300 + 13
+        assert seen == [ks.tolist()]
 
     def test_range_error_names_l_and_k(self):
         ks = np.linspace(0.01, 1.7, 50)

@@ -196,7 +196,7 @@ class TestPairProperties:
 
 
 class TestRiccatiPair:
-    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 30])
+    @pytest.mark.parametrize("l", [0, 1, 2, 5, 10, 30, 60])
     def test_array_equals_one_element_calls(self, l):
         # both evaluation regions in one array; each element's series stops
         # at its own term, so neighbours cannot change its bits
@@ -206,6 +206,18 @@ class TestRiccatiPair:
         assert pair.tobytes() == one.tobytes()
         u, v = riccati_bessel(l, float(x[3])), riccati_neumann(l, float(x[3]))
         assert (u.value, u.derivative, v.value, v.derivative) == tuple(pair[:, 3])
+
+    @pytest.mark.parametrize("l", [10, 20, 60, 140, 300])
+    def test_near_the_turning_point_against_mpmath(self, l):
+        # from x**2 = 6 (2l+3) to l + 2 the power series cancels (1e-3 at
+        # l = 60, x = l); u_l comes from the Wronskian there.  At l = 300
+        # the series needs 601!!, beyond the double range, below that band.
+        x = np.linspace(math.sqrt(6 * (2 * l + 3)) - (0.5 if l < 150 else -1e-9), l + 2.0, 12)
+        u, du, _, _ = riccati_pair(l, x)
+        for xi, ui, dui in zip(x.tolist(), u.tolist(), du.tolist()):
+            ref, refp = mp_riccati_bessel(l, xi)
+            assert ui == pytest.approx(ref, rel=1e-12)
+            assert dui == pytest.approx(refp, rel=1e-12)
 
     def test_wronskian_on_arrays(self):
         x = np.geomspace(0.01, 50.0, 200)
